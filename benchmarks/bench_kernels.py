@@ -1,27 +1,21 @@
 #!/usr/bin/env python3
-"""Time the sparse-boolean CSR kernels under both backends.
+"""Time the sparse-boolean CSR kernels.
 
-The backend is fixed at import time from HORNFORGE_BACKEND, so every
-measurement runs in a child process with the variable set.  Times are
-best-of-N wall clock after a jit warmup, on synthetic workloads sized
-like a mid-size graph (20k-50k rows, low tens of nonzeros per row).
+Times are best-of-N wall clock, on synthetic workloads sized like a
+mid-size graph (20k-50k rows, low tens of nonzeros per row).
 
-Usage: python benchmarks/bench_kernels.py [--repeat N]
+Usage, from the repository root without installing the package:
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
-KERNELS = ("spgemm_bool", "intersect_count", "frontier_reach")
+from hornforge import _kernels
 
 
 def _random_csr(rng, n_rows, n_cols, degree):
@@ -42,10 +36,11 @@ def _best_of(fn, repeat):
     return best
 
 
-def run_child(repeat):
-    from hornforge import _kernels
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeat", type=int, default=5, help="runs per kernel, best kept")
+    args = parser.parse_args()
 
-    _kernels.warmup()
     rng = np.random.default_rng(0)
     a = _random_csr(rng, 20_000, 20_000, 15)
     b = _random_csr(rng, 20_000, 20_000, 15)
@@ -53,57 +48,14 @@ def run_child(repeat):
     v = np.unique(rng.integers(0, 2_000_000, 200_000)).astype(np.int64)
     g = _random_csr(rng, 50_000, 50_000, 20)
     frontier = np.unique(rng.integers(0, 50_000, 5_000)).astype(np.int64)
-    results = {
-        "backend": _kernels.backend(),
-        "spgemm_bool": _best_of(
-            lambda: _kernels.spgemm_bool(a[0], a[1], b[0], b[1], 20_000), repeat
-        ),
-        "intersect_count": _best_of(lambda: _kernels.intersect_count(u, v), repeat),
-        "frontier_reach": _best_of(
-            lambda: _kernels.frontier_reach(g[0], g[1], frontier, 50_000), repeat
-        ),
+    timings = {
+        "spgemm_bool": lambda: _kernels.spgemm_bool(a[0], a[1], b[0], b[1], 20_000),
+        "intersect_count": lambda: _kernels.intersect_count(u, v),
+        "frontier_reach": lambda: _kernels.frontier_reach(g[0], g[1], frontier, 50_000),
     }
-    print(json.dumps(results))
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=5, help="runs per kernel, best kept")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.child:
-        run_child(args.repeat)
-        return
-
-    backends = ["numpy"]
-    if importlib.util.find_spec("numba") is not None:
-        backends.append("numba")
-    rows = {}
-    for backend in backends:
-        env = dict(os.environ, HORNFORGE_BACKEND=backend)
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", "--repeat", str(args.repeat)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        rows[backend] = json.loads(proc.stdout.strip().splitlines()[-1])
-
-    have_numba = "numba" in rows
-    header = f"{'kernel':<18}{'numpy':>12}"
-    if have_numba:
-        header += f"{'numba':>12}{'speedup':>10}"
-    print(header)
-    for kernel in KERNELS:
-        numpy_t = rows["numpy"][kernel]
-        line = f"{kernel:<18}{numpy_t:>11.4f}s"
-        if have_numba:
-            numba_t = rows["numba"][kernel]
-            line += f"{numba_t:>11.4f}s{numpy_t / numba_t:>9.1f}x"
-        print(line)
-    if not have_numba:
-        print("numba not importable: numpy fallback timings only")
+    print(f"{'kernel':<18}{'best':>12}")
+    for kernel, fn in timings.items():
+        print(f"{kernel:<18}{_best_of(fn, args.repeat):>11.4f}s")
 
 
 if __name__ == "__main__":

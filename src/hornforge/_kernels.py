@@ -1,48 +1,18 @@
-"""Sparse boolean CSR kernels: numba jit fast path, pure-numpy fallback.
+"""Sparse boolean CSR kernels in numpy.
 
-Backend choice is made once at import from HORNFORGE_BACKEND:
-  numba  - require numba, error if unavailable
-  numpy  - force the fallback implementations
-  unset  - numba when importable, numpy otherwise
+Each matrix is a pair (indptr, cols) of int64 arrays with sorted, unique
+column indices per row.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-_requested = os.environ.get("HORNFORGE_BACKEND", "").strip().lower()
-if _requested == "numpy":
-    _USE_NUMBA = False
-elif _requested == "numba":
-    if not HAS_NUMBA:
-        raise ImportError("HORNFORGE_BACKEND=numba but numba is not importable")
-    _USE_NUMBA = True
-elif _requested == "":
-    _USE_NUMBA = HAS_NUMBA
-else:
-    raise ValueError(f"unknown HORNFORGE_BACKEND value: {_requested!r}")
-
-
-def backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
-
 
 _EMPTY = np.empty(0, np.int64)
 
 
-# --- numpy fallbacks -------------------------------------------------------
-
-
-def _spgemm_numpy(indptr_a, cols_a, indptr_b, cols_b, n_cols):
+def spgemm_bool(indptr_a, cols_a, indptr_b, cols_b, n_cols):
+    """Boolean sparse product of two CSR matrices; returns (indptr, cols)."""
     n_rows = indptr_a.shape[0] - 1
     indptr_c = np.zeros(n_rows + 1, np.int64)
     rows = []
@@ -60,118 +30,14 @@ def _spgemm_numpy(indptr_a, cols_a, indptr_b, cols_b, n_cols):
     return indptr_c, cols_c.astype(np.int64, copy=False)
 
 
-def _intersect_count_numpy(a, b) -> int:
-    return int(np.intersect1d(a, b, assume_unique=True).size)
-
-
-def _reach_numpy(indptr, cols, frontier, n_cols):
-    if frontier.size == 0:
-        return _EMPTY.copy()
-    chunks = [cols[indptr[i] : indptr[i + 1]] for i in frontier]
-    if not chunks:
-        return _EMPTY.copy()
-    return np.unique(np.concatenate(chunks)).astype(np.int64, copy=False)
-
-
-# --- numba kernels ---------------------------------------------------------
-
-if _USE_NUMBA:
-
-    @njit(cache=True)
-    def _spgemm_numba(indptr_a, cols_a, indptr_b, cols_b, n_cols):
-        n_rows = indptr_a.shape[0] - 1
-        marker = np.full(n_cols, -1, np.int64)
-        indptr_c = np.zeros(n_rows + 1, np.int64)
-        for i in range(n_rows):
-            cnt = 0
-            for jj in range(indptr_a[i], indptr_a[i + 1]):
-                j = cols_a[jj]
-                for kk in range(indptr_b[j], indptr_b[j + 1]):
-                    k = cols_b[kk]
-                    if marker[k] != i:
-                        marker[k] = i
-                        cnt += 1
-            indptr_c[i + 1] = indptr_c[i] + cnt
-        cols_c = np.empty(indptr_c[n_rows], np.int64)
-        marker[:] = -1
-        for i in range(n_rows):
-            pos = indptr_c[i]
-            start = pos
-            for jj in range(indptr_a[i], indptr_a[i + 1]):
-                j = cols_a[jj]
-                for kk in range(indptr_b[j], indptr_b[j + 1]):
-                    k = cols_b[kk]
-                    if marker[k] != i:
-                        marker[k] = i
-                        cols_c[pos] = k
-                        pos += 1
-            cols_c[start:pos].sort()
-        return indptr_c, cols_c
-
-    @njit(cache=True)
-    def _intersect_count_numba(a, b):
-        i = 0
-        j = 0
-        cnt = 0
-        while i < a.shape[0] and j < b.shape[0]:
-            if a[i] == b[j]:
-                cnt += 1
-                i += 1
-                j += 1
-            elif a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-        return cnt
-
-    @njit(cache=True)
-    def _reach_numba(indptr, cols, frontier, n_cols):
-        marker = np.zeros(n_cols, np.uint8)
-        cnt = 0
-        for ii in range(frontier.shape[0]):
-            i = frontier[ii]
-            for jj in range(indptr[i], indptr[i + 1]):
-                k = cols[jj]
-                if marker[k] == 0:
-                    marker[k] = 1
-                    cnt += 1
-        out = np.empty(cnt, np.int64)
-        pos = 0
-        for k in range(n_cols):
-            if marker[k] == 1:
-                out[pos] = k
-                pos += 1
-        return out
-
-
-# --- public dispatchers ----------------------------------------------------
-
-
-def spgemm_bool(indptr_a, cols_a, indptr_b, cols_b, n_cols):
-    """Boolean sparse product of two CSR matrices; returns (indptr, cols)."""
-    if _USE_NUMBA:
-        return _spgemm_numba(indptr_a, cols_a, indptr_b, cols_b, n_cols)
-    return _spgemm_numpy(indptr_a, cols_a, indptr_b, cols_b, n_cols)
-
-
 def intersect_count(a, b) -> int:
     """Size of the intersection of two sorted unique int64 arrays."""
-    if _USE_NUMBA:
-        return int(_intersect_count_numba(a, b))
-    return _intersect_count_numpy(a, b)
+    return int(np.intersect1d(a, b, assume_unique=True).size)
 
 
 def frontier_reach(indptr, cols, frontier, n_cols):
     """Sorted unique columns reachable from the given row set."""
-    if _USE_NUMBA:
-        return _reach_numba(indptr, cols, frontier.astype(np.int64), n_cols)
-    return _reach_numpy(indptr, cols, frontier, n_cols)
-
-
-def warmup():
-    """Trigger jit compilation once so timed sections stay honest."""
-    ip = np.array([0, 1, 1], np.int64)
-    cj = np.array([1], np.int64)
-    spgemm_bool(ip, cj, ip, cj, 2)
-    intersect_count(cj, cj)
-    frontier_reach(ip, cj, np.array([0], np.int64), 2)
+    if frontier.size == 0:
+        return _EMPTY.copy()
+    chunks = [cols[indptr[i] : indptr[i + 1]] for i in frontier]
+    return np.unique(np.concatenate(chunks)).astype(np.int64, copy=False)

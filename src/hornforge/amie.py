@@ -5,12 +5,11 @@ closing / instantiated atoms, gate expansion on head coverage, gate
 output on confidence with lazy denominator counting, and prune
 refinements of output ancestors that fail to strictly improve
 confidence (skyline).  All candidate ordering is canonical so results
-are byte-identical across runs and thread counts.
+are byte-identical across runs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +25,7 @@ from .metrics import (
     support,
 )
 from .rules import (
+    MAX_BODY_ATOMS,
     Atom,
     Rule,
     atom_count_by_variable,
@@ -49,21 +49,20 @@ class MinerConfig:
     enable_instantiation: bool = False
     enable_skyline: bool = True
     object_identity: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         self.min_head_coverage = as_fraction(self.min_head_coverage)
         self.min_confidence = as_fraction(self.min_confidence)
         if self.max_len < 2:
             raise ValueError("max_len must be at least 2")
+        if self.max_len > MAX_BODY_ATOMS + 1:
+            raise ValueError(f"max_len must be at most {MAX_BODY_ATOMS + 1}")
         if not 0 < self.min_head_coverage <= 1:
             raise ValueError("min_head_coverage must lie in (0, 1]")
         if not 0 < self.min_confidence <= 1:
             raise ValueError("min_confidence must lie in (0, 1]")
         if self.confidence_kind not in ("std", "pca"):
             raise ValueError(f"unknown confidence kind: {self.confidence_kind!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -441,52 +440,41 @@ def mine(kg: KnowledgeGraph, config: MinerConfig = None):
         config = MinerConfig()
     seen = set()
     output = []  # (rule, metrics, confidence)
-    frontier = []
-    executor = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
-    try:
-        seeds = seed_rules(kg, config)
-        seen.update(seeds)
-        frontier = [_evaluate_candidate(kg, s, config) for s in seeds]
-        frontier = [r for r in frontier if r.head_coverage >= config.min_head_coverage]
-        while frontier:
-            parents = [
-                rec
-                for rec in frontier
-                if len(rec.rule) < config.max_len
-                and not (
-                    config.enable_skyline and rec.closed and rec.confidence == Fraction(1)
-                )
-            ]
-            children = []
-            for rec in parents:
-                closing_viable, dangling_viable = _viable_refinements(kg, rec.rule, config)
-                kids = (
-                    refine_dangling(kg, rec.rule, config, viable=dangling_viable)
-                    + refine_closing(kg, rec.rule, config, viable=closing_viable)
-                    + refine_instantiated(kg, rec.rule, config)
-                )
-                for child in kids:
-                    if child not in seen:
-                        seen.add(child)
-                        children.append(child)
-            children.sort(key=sort_key)
-            if executor is not None:
-                records = list(executor.map(lambda r: _evaluate_candidate(kg, r, config), children))
-            else:
-                records = [_evaluate_candidate(kg, r, config) for r in children]
-            for rec in records:
-                if rec.metrics is None:
-                    continue
-                blocked = config.enable_skyline and any(
-                    rec.confidence <= anc_conf and _embeds(anc_rule, rec.rule)
-                    for anc_rule, _m, anc_conf in output
-                )
-                if not blocked:
-                    output.append((rec.rule, rec.metrics, rec.confidence))
-            frontier = [r for r in records if r.head_coverage >= config.min_head_coverage]
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    seeds = seed_rules(kg, config)
+    seen.update(seeds)
+    frontier = [_evaluate_candidate(kg, s, config) for s in seeds]
+    frontier = [r for r in frontier if r.head_coverage >= config.min_head_coverage]
+    while frontier:
+        parents = [
+            rec
+            for rec in frontier
+            if len(rec.rule) < config.max_len
+            and not (config.enable_skyline and rec.closed and rec.confidence == Fraction(1))
+        ]
+        children = []
+        for rec in parents:
+            closing_viable, dangling_viable = _viable_refinements(kg, rec.rule, config)
+            kids = (
+                refine_dangling(kg, rec.rule, config, viable=dangling_viable)
+                + refine_closing(kg, rec.rule, config, viable=closing_viable)
+                + refine_instantiated(kg, rec.rule, config)
+            )
+            for child in kids:
+                if child not in seen:
+                    seen.add(child)
+                    children.append(child)
+        children.sort(key=sort_key)
+        records = [_evaluate_candidate(kg, r, config) for r in children]
+        for rec in records:
+            if rec.metrics is None:
+                continue
+            blocked = config.enable_skyline and any(
+                rec.confidence <= anc_conf and _embeds(anc_rule, rec.rule)
+                for anc_rule, _m, anc_conf in output
+            )
+            if not blocked:
+                output.append((rec.rule, rec.metrics, rec.confidence))
+        frontier = [r for r in records if r.head_coverage >= config.min_head_coverage]
 
     def final_key(item):
         rule, metrics, conf = item

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .amie import MinedRule
 from .kg import KnowledgeGraph
 from .metrics import as_fraction, evaluate
-from .rules import Atom, Rule, canonicalize, const, render_rule, sort_key, var
+from .rules import MAX_BODY_ATOMS, Atom, Rule, canonicalize, const, render_rule, sort_key, var
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,11 @@ class AnytimeConfig:
     confidence_kind: str = "pca"
     saturation_threshold: Fraction = Fraction(9, 10)
     start_length: int = 1
-    max_length: int | None = 3
+    max_length: int | None = 3  # None grows walks up to MAX_BODY_ATOMS
     effort_smoothing: Fraction = Fraction(1, 2)
     profile_weights: dict | None = None  # optional initial PathProfile -> weight
     object_identity: bool = True
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         self.min_confidence = as_fraction(self.min_confidence)
@@ -81,10 +79,12 @@ class AnytimeConfig:
             raise ValueError("saturation_threshold must lie in (0, 1]")
         if self.start_length < 1:
             raise ValueError("start_length must be at least 1")
+        if self.start_length > MAX_BODY_ATOMS:
+            raise ValueError(f"start_length must be at most {MAX_BODY_ATOMS}")
+        if self.max_length is not None and self.max_length > MAX_BODY_ATOMS:
+            raise ValueError(f"max_length must be at most {MAX_BODY_ATOMS}")
         if not 0 < self.effort_smoothing <= 1:
             raise ValueError("effort_smoothing must lie in (0, 1]")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 def sample_path(kg: KnowledgeGraph, profile: PathProfile, rng, object_identity=True):
@@ -193,7 +193,7 @@ def _profiles_up_to(max_len: int):
 def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
     """Sampled bottom-up mining; returns MinedRule entries in the same
     order as the top-down miner.  With a fixed seed and sample budget the
-    result is identical for any thread count."""
+    result is identical from run to run."""
     if config is None:
         config = AnytimeConfig()
     master = random.Random(config.seed)
@@ -202,7 +202,6 @@ def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
     max_len = config.start_length
     if config.max_length is not None:
         max_len = min(max_len, config.max_length)
-    executor = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
 
     def run_task(task):
         profile, seed = task
@@ -211,78 +210,67 @@ def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
             return profile, ()
         return profile, tuple(generalize(path))
 
-    try:
-        for _ in range(config.rounds):
-            profiles = _profiles_up_to(max_len)
-            for p in profiles:
-                initial = Fraction(1)
-                if config.profile_weights and p in config.profile_weights:
-                    initial = as_fraction(config.profile_weights[p])
-                weights.setdefault(p, initial)
-            # keep a small floor so no profile starves permanently
-            draw_weights = [max(float(weights[p]), 0.01) for p in profiles]
-            tasks = []
-            if config.round_ms is None:
-                for _ in range(config.round_samples):
+    for _ in range(config.rounds):
+        profiles = _profiles_up_to(max_len)
+        for p in profiles:
+            initial = Fraction(1)
+            if config.profile_weights and p in config.profile_weights:
+                initial = as_fraction(config.profile_weights[p])
+            weights.setdefault(p, initial)
+        # keep a small floor so no profile starves permanently
+        draw_weights = [max(float(weights[p]), 0.01) for p in profiles]
+        tasks = []
+        if config.round_ms is None:
+            for _ in range(config.round_samples):
+                p = master.choices(profiles, weights=draw_weights)[0]
+                tasks.append((p, master.getrandbits(64)))
+            results = [run_task(t) for t in tasks]
+        else:
+            deadline = time.monotonic() + config.round_ms / 1000.0
+            results = []
+            while time.monotonic() < deadline:
+                chunk = []
+                for _ in range(64):
                     p = master.choices(profiles, weights=draw_weights)[0]
-                    tasks.append((p, master.getrandbits(64)))
-                if executor is not None:
-                    results = list(executor.map(run_task, tasks))
-                else:
-                    results = [run_task(t) for t in tasks]
-            else:
-                deadline = time.monotonic() + config.round_ms / 1000.0
-                results = []
-                while time.monotonic() < deadline:
-                    chunk = []
-                    for _ in range(64):
-                        p = master.choices(profiles, weights=draw_weights)[0]
-                        chunk.append((p, master.getrandbits(64)))
-                    tasks.extend(chunk)
-                    if executor is not None:
-                        results.extend(executor.map(run_task, chunk))
-                    else:
-                        results.extend(run_task(t) for t in chunk)
-            round_rules = set()
-            producers = {}
-            samples_by_profile = {p: 0 for p in profiles}
-            for (profile, _seed), (_p, rules) in zip(tasks, results):
-                samples_by_profile[profile] += 1
-                for rule in rules:
-                    round_rules.add(rule)
-                    producers.setdefault(rule, set()).add(profile)
-            stored_before = frozenset(stored)
-            eligible = []
-            new_by_profile = {p: 0 for p in profiles}
-            for rule in sorted(round_rules, key=sort_key):
-                if rule in stored:
-                    eligible.append(rule)
-                    continue
-                metrics = evaluate(kg, rule, object_identity=config.object_identity)
-                if (
-                    metrics.support >= config.min_support
-                    and metrics.confidence(config.confidence_kind) >= config.min_confidence
-                ):
-                    stored[rule] = metrics
-                    eligible.append(rule)
-                    for p in producers[rule]:
-                        new_by_profile[p] += 1
-            # saturation over threshold-eligible rules: candidates that can
-            # never be stored should not block length growth forever
-            sat = saturation(eligible, stored_before)
-            ema = config.effort_smoothing
-            for p in profiles:
-                if samples_by_profile[p] == 0:
-                    continue
-                yield_p = Fraction(new_by_profile[p], samples_by_profile[p])
-                weights[p] = (1 - ema) * weights[p] + ema * yield_p
-            if sat >= config.saturation_threshold and (
-                config.max_length is None or max_len < config.max_length
+                    chunk.append((p, master.getrandbits(64)))
+                tasks.extend(chunk)
+                results.extend(run_task(t) for t in chunk)
+        round_rules = set()
+        producers = {}
+        samples_by_profile = {p: 0 for p in profiles}
+        for (profile, _seed), (_p, rules) in zip(tasks, results):
+            samples_by_profile[profile] += 1
+            for rule in rules:
+                round_rules.add(rule)
+                producers.setdefault(rule, set()).add(profile)
+        stored_before = frozenset(stored)
+        eligible = []
+        new_by_profile = {p: 0 for p in profiles}
+        for rule in sorted(round_rules, key=sort_key):
+            if rule in stored:
+                eligible.append(rule)
+                continue
+            metrics = evaluate(kg, rule, object_identity=config.object_identity)
+            if (
+                metrics.support >= config.min_support
+                and metrics.confidence(config.confidence_kind) >= config.min_confidence
             ):
-                max_len += 1
-    finally:
-        if executor is not None:
-            executor.shutdown()
+                stored[rule] = metrics
+                eligible.append(rule)
+                for p in producers[rule]:
+                    new_by_profile[p] += 1
+        # saturation over threshold-eligible rules: candidates that can
+        # never be stored should not block length growth forever
+        sat = saturation(eligible, stored_before)
+        ema = config.effort_smoothing
+        for p in profiles:
+            if samples_by_profile[p] == 0:
+                continue
+            yield_p = Fraction(new_by_profile[p], samples_by_profile[p])
+            weights[p] = (1 - ema) * weights[p] + ema * yield_p
+        length_cap = MAX_BODY_ATOMS if config.max_length is None else config.max_length
+        if sat >= config.saturation_threshold and max_len < length_cap:
+            max_len += 1
 
     def final_key(item):
         rule, metrics = item

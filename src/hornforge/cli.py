@@ -10,7 +10,6 @@ or malformed input, 64 bad flag/query combinations.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from fractions import Fraction
@@ -73,20 +72,9 @@ def _load_graph(path):
         return None
 
 
-def _default_threads() -> int:
-    env = os.environ.get("HORNFORGE_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _add_common(sub):
     sub.add_argument("--input", required=True, help="TSV file of subject<TAB>relation<TAB>object")
     sub.add_argument("--output", default="-", help="output path, '-' for stdout")
-    sub.add_argument("--threads", type=int, default=_default_threads())
 
 
 def build_parser():
@@ -146,7 +134,6 @@ def _cmd_mine(args) -> int:
                 confidence_kind=args.confidence_kind,
                 enable_instantiation=args.instantiation,
                 object_identity=bool(args.object_identity),
-                threads=args.threads,
             )
             mined = mine(kg, config)
         else:
@@ -162,7 +149,6 @@ def _cmd_mine(args) -> int:
                 max_length=args.max_path_length,
                 object_identity=True if args.object_identity is None else args.object_identity,
                 seed=args.seed,
-                threads=args.threads,
             )
             mined = mine_anytime(kg, config)
     except ValueError as exc:

@@ -195,7 +195,9 @@ class KnowledgeGraph:
         whose constants never occur yields nothing.
         """
         base = {} if bindings is None else bindings
-        for ext in _atom_solutions(self, _compile_atom(atom), base):
+        if atom.relation >= len(self.relations):
+            return
+        for ext in _ext_candidates(self, _compile(atom), base):
             merged = dict(base)
             merged.update(ext)
             yield merged
@@ -271,7 +273,7 @@ def dump_triples(kg: KnowledgeGraph, stream) -> None:
 # --- atom matching machinery (shared with metrics) -----------------------
 
 
-def _compile_atom(atom: Atom):
+def _compile(atom: Atom):
     """(relation, s_is_var, s_key, o_is_var, o_key) tuple for the hot loops."""
     return (
         atom.relation,
@@ -282,29 +284,27 @@ def _compile_atom(atom: Atom):
     )
 
 
-def _atom_solutions(kg: KnowledgeGraph, catom, binding: dict):
-    """Yield {var: entity} extensions (only the new bindings) satisfying catom."""
+def _ext_candidates(kg: KnowledgeGraph, catom, binding: dict):
+    """Yield tuples of (var, value) additions satisfying catom under binding."""
     r, s_var, s_key, o_var, o_key = catom
-    if r >= len(kg.relations):
-        return
     s_val = binding.get(s_key) if s_var else s_key
     o_val = binding.get(o_key) if o_var else o_key
     if s_val is not None and o_val is not None:
         if kg.has_pair(r, s_val, o_val):
-            yield {}
+            yield ()
         return
     if s_val is not None:
         for o in kg.objects_of(r, s_val):
-            yield {o_key: o}
+            yield ((o_key, o),)
         return
     if o_val is not None:
         for s in kg.subjects_of(r, o_val):
-            yield {s_key: s}
+            yield ((s_key, s),)
         return
     if s_key == o_key:
         for s, o in kg.pairs(r):
             if s == o:
-                yield {s_key: s}
+                yield ((s_key, s),)
         return
     for s, o in kg.pairs(r):
-        yield {s_key: s, o_key: o}
+        yield ((s_key, s), (o_key, o))

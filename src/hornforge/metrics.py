@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, _compile, _ext_candidates
 from .rules import Rule, is_connected, is_safe
 
 
@@ -31,16 +31,6 @@ def as_fraction(x) -> Fraction:
 # --- compiled-atom join machinery ----------------------------------------
 
 
-def _compile(atom):
-    return (
-        atom.relation,
-        atom.subject.is_var,
-        atom.subject.index,
-        atom.object.is_var,
-        atom.object.index,
-    )
-
-
 def _estimate(kg, catom, binding):
     r, s_var, s_key, o_var, o_key = catom
     s_val = binding.get(s_key) if s_var else s_key
@@ -52,32 +42,6 @@ def _estimate(kg, catom, binding):
     if o_val is not None:
         return len(kg.subjects_of(r, o_val))
     return 1 + len(kg.pairs(r))
-
-
-def _ext_candidates(kg, catom, binding):
-    """Yield tuples of (var, value) additions satisfying catom under binding."""
-    r, s_var, s_key, o_var, o_key = catom
-    s_val = binding.get(s_key) if s_var else s_key
-    o_val = binding.get(o_key) if o_var else o_key
-    if s_val is not None and o_val is not None:
-        if kg.has_pair(r, s_val, o_val):
-            yield ()
-        return
-    if s_val is not None:
-        for o in kg.objects_of(r, s_val):
-            yield ((o_key, o),)
-        return
-    if o_val is not None:
-        for s in kg.subjects_of(r, o_val):
-            yield ((s_key, s),)
-        return
-    if s_key == o_key:
-        for s, o in kg.pairs(r):
-            if s == o:
-                yield ((s_key, s),)
-        return
-    for s, o in kg.pairs(r):
-        yield ((s_key, s), (o_key, o))
 
 
 def _apply_ext(binding, used, ext):

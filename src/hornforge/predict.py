@@ -42,22 +42,19 @@ class NegativeRule:
     rule: Rule
 
 
-def _head_projections(kg, rule, binding0=None, object_identity=False):
-    """Distinct head-variable value tuples with the body satisfiable."""
+def _head_projections(kg, body, out_vars, binding0=None, object_identity=False):
+    """Distinct out_vars value tuples with the body satisfiable."""
     projections = []
-    catoms = tuple(_compile(a) for a in rule.body)
-    hv = rule.head_variables()
-    counted = set()
 
     def collect(binding):
-        projections.append(tuple(binding[v] for v in hv))
+        projections.append(tuple(binding[v] for v in out_vars))
         return True
 
     # reuse the projection counter, collecting instead of filtering
     _count_projections(
         kg,
-        catoms,
-        hv,
+        tuple(_compile(a) for a in body),
+        out_vars,
         binding0 or {},
         object_identity,
         cutoff=None,
@@ -74,9 +71,10 @@ def apply_rule(kg: KnowledgeGraph, rule: Rule, confidence=None, object_identity=
         raise ValueError("unsafe rule: every head variable must occur in the body")
     conf = as_fraction(confidence) if confidence is not None else pca_confidence(kg, rule)
     head = rule.head
+    hv = rule.head_variables()
     out = []
-    for proj in _head_projections(kg, rule, object_identity=object_identity):
-        binding = dict(zip(rule.head_variables(), proj))
+    for proj in _head_projections(kg, rule.body, hv, object_identity=object_identity):
+        binding = dict(zip(hv, proj))
         s = binding[head.subject.index] if head.subject.is_var else head.subject.index
         o = binding[head.object.index] if head.object.is_var else head.object.index
         fact = (s, head.relation, o)
@@ -118,7 +116,7 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
             continue
         conf = as_fraction(conf)
         if free_term.is_var:
-            for (val,) in _head_projections_over(kg, rule.body, (free_term.index,), binding):
+            for (val,) in _head_projections(kg, rule.body, (free_term.index,), binding):
                 candidates.setdefault(val, []).append(conf)
         else:
             catoms = tuple(_compile(a) for a in rule.body)
@@ -132,18 +130,6 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
     if top_k is not None:
         ranked = ranked[:top_k]
     return ranked
-
-
-def _head_projections_over(kg, body, out_vars, binding0):
-    catoms = tuple(_compile(a) for a in body)
-    projections = []
-
-    def collect(binding):
-        projections.append(tuple(binding[v] for v in out_vars))
-        return True
-
-    _count_projections(kg, catoms, out_vars, binding0, False, None, collect)
-    return projections
 
 
 def generate_negatives(kg: KnowledgeGraph, relation) -> frozenset:

@@ -13,6 +13,9 @@ from itertools import permutations
 
 _VAR_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# canonicalize searches every body order, so bodies are capped
+MAX_BODY_ATOMS = 8
+
 
 class RuleParseError(ValueError):
     pass
@@ -173,17 +176,16 @@ def canonicalize(rule: Rule) -> Rule:
     """Normal form: duplicate body atoms dropped, variables renumbered by
     first appearance (head first), body order chosen so the encoded rule
     is lexicographically least.  Alpha-equivalent rules map to the same
-    object."""
+    object.  Bodies of more than MAX_BODY_ATOMS distinct atoms raise
+    ValueError."""
     body = []
     for atom in rule.body:
         if atom not in body:
             body.append(atom)
-    if len(body) > 8:
-        # permutation search is factorial; fall back to a deterministic
-        # structure-first sort for oversized bodies
-        body.sort(key=lambda a: a.key())
-        mapping = _numbering_for(rule.head, body)
-        return _renumber(rule.head, body, mapping)
+    if len(body) > MAX_BODY_ATOMS:
+        raise ValueError(
+            f"cannot canonicalize a body of {len(body)} atoms (at most {MAX_BODY_ATOMS})"
+        )
     best_key = None
     best = None
     for perm in permutations(body):
@@ -274,6 +276,8 @@ def parse_rule_with_negation(text: str, kg):
         for part in body_text.split("&"):
             atom, neg = _parse_atom(part, kg, var_ids, allow_negation=False)
             body.append(atom)
+    if len(body) > MAX_BODY_ATOMS and len(set(body)) > MAX_BODY_ATOMS:
+        raise RuleParseError(f"rule body has more than {MAX_BODY_ATOMS} distinct atoms: {text!r}")
     head, negated = _parse_atom(head_text, kg, var_ids, allow_negation=True)
     return canonicalize(Rule(head, tuple(body))), negated
 

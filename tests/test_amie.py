@@ -31,12 +31,16 @@ class TestMinerConfig:
         assert cfg.enable_instantiation is False
         assert cfg.enable_skyline is True
         assert cfg.object_identity is False
-        assert cfg.threads == 1
 
     def test_max_len_floor(self):
         with pytest.raises(ValueError, match="max_len must be at least 2"):
             MinerConfig(max_len=1)
         assert MinerConfig(max_len=2).max_len == 2
+
+    def test_max_len_cap(self):
+        assert MinerConfig(max_len=9).max_len == 9
+        with pytest.raises(ValueError, match="max_len must be at most 9"):
+            MinerConfig(max_len=10)
 
     @pytest.mark.parametrize("bad", [0, Fraction(0), -1, 2, Fraction(101, 100)])
     def test_threshold_range(self, bad):
@@ -56,10 +60,6 @@ class TestMinerConfig:
             MinerConfig(confidence_kind="cwa")
         with pytest.raises(ValueError, match="unknown confidence kind"):
             MinerConfig(confidence_kind="PCA")
-
-    def test_threads_floor(self):
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            MinerConfig(threads=0)
 
 
 class TestSeedRules:
@@ -251,10 +251,6 @@ class TestMineFixture:
         runs = [golden_tuples(mine(sample_kg), sample_kg) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2] == GOLDEN
 
-    def test_thread_count_invisible(self, sample_kg):
-        four = mine(sample_kg, MinerConfig(threads=4))
-        assert golden_tuples(four, sample_kg) == GOLDEN
-
     def test_max_len_two(self, sample_kg):
         got = renders(mine(sample_kg, MinerConfig(max_len=2)), sample_kg)
         assert got == [
@@ -365,6 +361,6 @@ class TestPruningSoundness:
         rng = random.Random(9)
         for _ in range(10):
             kg = random_kg(rng)
-            one = [(m.rule, m.metrics) for m in mine(kg, MinerConfig(threads=1))]
-            four = [(m.rule, m.metrics) for m in mine(kg, MinerConfig(threads=4))]
-            assert one == four
+            first = [(m.rule, m.metrics) for m in mine(kg, MinerConfig())]
+            second = [(m.rule, m.metrics) for m in mine(kg, MinerConfig())]
+            assert first == second

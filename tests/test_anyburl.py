@@ -46,7 +46,6 @@ class TestAnytimeConfig:
         assert cfg.max_length == 3
         assert cfg.object_identity is True
         assert cfg.seed == 0
-        assert cfg.threads == 1
 
     def test_fraction_coercion(self):
         cfg = AnytimeConfig(min_confidence=0.25, saturation_threshold="4/5", effort_smoothing=0.5)
@@ -66,7 +65,8 @@ class TestAnytimeConfig:
             (dict(saturation_threshold=Fraction(11, 10)), "saturation_threshold must lie"),
             (dict(start_length=0), "start_length must be at least 1"),
             (dict(effort_smoothing=0), "effort_smoothing must lie"),
-            (dict(threads=0), "threads must be at least 1"),
+            (dict(start_length=9, max_length=None), "start_length must be at most 8"),
+            (dict(max_length=9), "max_length must be at most 8"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -228,17 +228,34 @@ class TestMineAnytime:
         b = mine_anytime(sample_kg, AnytimeConfig(**cfg))
         assert [(m.rule, m.metrics) for m in a] == [(m.rule, m.metrics) for m in b]
 
-    def test_thread_count_invisible(self, sample_kg):
-        one = mine_anytime(sample_kg, AnytimeConfig(seed=42, rounds=2, threads=1))
-        four = mine_anytime(sample_kg, AnytimeConfig(seed=42, rounds=2, threads=4))
-        assert [(m.rule, m.metrics) for m in one] == [(m.rule, m.metrics) for m in four]
-
     def test_more_rounds_never_lose_rules(self, sample_kg):
         sets = [
             {m.rule for m in mine_anytime(sample_kg, AnytimeConfig(seed=42, rounds=k))}
             for k in (1, 2, 3)
         ]
         assert sets[0] <= sets[1] <= sets[2]
+
+    def test_unbounded_length_stops_at_canonical_cap(self, sample_kg, monkeypatch):
+        # a threshold this low lets the walk length grow every round
+        lengths = []
+        real = hf.anyburl.generalize
+
+        def spy(path):
+            lengths.append(len(path.steps) - 1)
+            return real(path)
+
+        monkeypatch.setattr(hf.anyburl, "generalize", spy)
+        cfg = AnytimeConfig(
+            seed=1,
+            rounds=12,
+            round_samples=20,
+            max_length=None,
+            min_support=1,
+            saturation_threshold=Fraction(1, 1000),
+            object_identity=False,
+        )
+        mine_anytime(sample_kg, cfg)
+        assert max(lengths) == 8
 
     def test_thresholds_respected(self, sample_kg):
         cfg = AnytimeConfig(seed=3, rounds=3)

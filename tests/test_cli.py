@@ -76,7 +76,6 @@ class TestMine:
 
     def test_runs_deterministic(self):
         outs = {cap(["mine", "--input", str(FIXTURE)])[1] for _ in range(3)}
-        outs |= {cap(["mine", "--input", str(FIXTURE), "--threads", "4"])[1]}
         assert outs == {MINE_GOLDEN}
 
     def test_fraction_flags(self):
@@ -91,6 +90,8 @@ class TestMine:
             ["--min-conf", "0"],
             ["--min-conf", "abc"],
             ["--miner", "anyburl", "--rounds", "0"],
+            ["--max-len", "10"],
+            ["--miner", "anyburl", "--max-path-length", "9"],
         ],
     )
     def test_bad_flags(self, extra):
@@ -216,29 +217,23 @@ class TestPredict:
         assert code == 2
         assert "line 2" in err
 
+    def test_rules_file_body_over_cap(self, tmp_path):
+        body = " & ".join(f"worksFor(?v{i}, ?v{i + 1})" for i in range(9))
+        row = [f"{body} => speaks(?v0, ?v9)", "1", "1/3", "0.3", "1/1=1.0", "1/1=1.0", "subject"]
+        bad = tmp_path / "long.tsv"
+        bad.write_text(cli.HEADER + "\n" + "\t".join(row) + "\n", encoding="utf-8")
+        code, out, err = cap(
+            ["predict", "--input", str(FIXTURE), "--rules", str(bad), "--query", "speaks(?, German)"]
+        )
+        assert (code, out) == (2, "")
+        assert "more than 8 distinct atoms" in err
+
 
 class TestStats:
     def test_golden_output(self):
         code, out, err = cap(["stats", "--input", str(FIXTURE)])
         assert (code, err) == (0, "")
         assert out == STATS_GOLDEN
-
-
-class TestThreadsEnv:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("HORNFORGE_THREADS", "3")
-        args = cli.build_parser().parse_args(["stats", "--input", "x"])
-        assert args.threads == 3
-
-    def test_env_invalid_falls_back(self, monkeypatch):
-        monkeypatch.setenv("HORNFORGE_THREADS", "many")
-        args = cli.build_parser().parse_args(["stats", "--input", "x"])
-        assert args.threads == 1
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("HORNFORGE_THREADS", "3")
-        args = cli.build_parser().parse_args(["stats", "--input", "x", "--threads", "2"])
-        assert args.threads == 2
 
 
 class TestConsoleScript:

@@ -86,6 +86,8 @@ class TestIndexes:
         speaks = sample_kg.relations.id("speaks")
         germany = sample_kg.entities.id("Germany")
         assert list(sample_kg.match_atom(Atom(speaks, var(0), var(1)), {0: germany})) == []
+        unknown = len(sample_kg.relations)
+        assert list(sample_kg.match_atom(Atom(unknown, var(0), var(1)))) == []
 
     def test_has_pair_and_fact_count(self, sample_kg):
         speaks = sample_kg.relations.id("speaks")

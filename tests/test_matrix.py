@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -251,53 +248,3 @@ class TestAggregateInfer:
 
     def test_empty_rule_list(self, sample_kg):
         assert aggregate_infer(sample_kg, [], "E._Macron") == []
-
-
-BACKEND_PROBE = r"""
-import sys
-import hornforge._kernels as K
-import numpy as np
-rng = np.random.default_rng(7)
-n = 40
-def rand_matrix():
-    from hornforge import SparseBoolMatrix
-    pairs = {(int(rng.integers(n)), int(rng.integers(n))) for _ in range(120)}
-    return SparseBoolMatrix.from_pairs(n, sorted(pairs))
-a, b = rand_matrix(), rand_matrix()
-prod = a @ b
-print(K.backend())
-print(len(prod.pairs()))
-print(sorted(prod.pairs())[:5])
-"""
-
-
-class TestBackendSelection:
-    def run_probe(self, backend):
-        env = dict(os.environ)
-        if backend is None:
-            env.pop("HORNFORGE_BACKEND", None)
-        else:
-            env["HORNFORGE_BACKEND"] = backend
-        return subprocess.run(
-            [sys.executable, "-c", BACKEND_PROBE], capture_output=True, text=True, env=env
-        )
-
-    def test_numpy_fallback_forced(self):
-        out = self.run_probe("numpy")
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[0] == "numpy"
-
-    def test_backends_agree_on_products(self):
-        results = {}
-        for backend in ("numpy", "numba"):
-            out = self.run_probe(backend)
-            assert out.returncode == 0, out.stderr
-            lines = out.stdout.splitlines()
-            assert lines[0] == backend
-            results[backend] = lines[1:]
-        assert results["numpy"] == results["numba"]
-
-    def test_unknown_backend_rejected(self):
-        out = self.run_probe("cuda")
-        assert out.returncode != 0
-        assert "HORNFORGE_BACKEND" in out.stderr

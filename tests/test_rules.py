@@ -174,6 +174,14 @@ class TestCanonicalize:
                     rules[j],
                 )
 
+    def test_body_cap_is_loud(self):
+        def chain(n):
+            return Rule(Atom(0, var(0), var(n)), tuple(Atom(0, var(i), var(i + 1)) for i in range(n)))
+
+        assert len(canonicalize(chain(8)).body) == 8
+        with pytest.raises(ValueError, match="at most 8"):
+            canonicalize(chain(9))
+
 
 class TestTextFormat:
     def test_round_trip_on_canonical_rules(self, sample_kg, rule_r):
@@ -209,6 +217,17 @@ class TestTextFormat:
     def test_unknown_constant_rejected(self, sample_kg):
         with pytest.raises(RuleParseError):
             parse_rule("worksFor(?a, Atlantis) => speaks(?a, ?b)", sample_kg)
+
+    def test_body_over_cap_rejected(self, sample_kg):
+        def chain(n):
+            body = " & ".join(f"worksFor(?v{i}, ?v{i + 1})" for i in range(n))
+            return f"{body} => speaks(?v0, ?v{n})"
+
+        assert len(parse_rule(chain(8), sample_kg).body) == 8
+        # repeated atoms count once
+        assert len(parse_rule(chain(8).replace(" =>", " & worksFor(?v0, ?v1) =>"), sample_kg).body) == 8
+        with pytest.raises(RuleParseError, match="more than 8 distinct atoms"):
+            parse_rule_with_negation(chain(9), sample_kg)
 
 
 class TestOrdering:

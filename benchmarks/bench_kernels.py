@@ -49,9 +49,9 @@ def main():
     g = _random_csr(rng, 50_000, 50_000, 20)
     frontier = np.unique(rng.integers(0, 50_000, 5_000)).astype(np.int64)
     timings = {
-        "spgemm_bool": lambda: _kernels.spgemm_bool(a[0], a[1], b[0], b[1], 20_000),
+        "spgemm_bool": lambda: _kernels.spgemm_bool(a[0], a[1], b[0], b[1]),
         "intersect_count": lambda: _kernels.intersect_count(u, v),
-        "frontier_reach": lambda: _kernels.frontier_reach(g[0], g[1], frontier, 50_000),
+        "frontier_reach": lambda: _kernels.frontier_reach(g[0], g[1], frontier),
     }
     print(f"{'kernel':<18}{'best':>12}")
     for kernel, fn in timings.items():

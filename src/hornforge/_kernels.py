@@ -11,7 +11,7 @@ import numpy as np
 _EMPTY = np.empty(0, np.int64)
 
 
-def spgemm_bool(indptr_a, cols_a, indptr_b, cols_b, n_cols):
+def spgemm_bool(indptr_a, cols_a, indptr_b, cols_b):
     """Boolean sparse product of two CSR matrices; returns (indptr, cols)."""
     n_rows = indptr_a.shape[0] - 1
     indptr_c = np.zeros(n_rows + 1, np.int64)
@@ -35,7 +35,7 @@ def intersect_count(a, b) -> int:
     return int(np.intersect1d(a, b, assume_unique=True).size)
 
 
-def frontier_reach(indptr, cols, frontier, n_cols):
+def frontier_reach(indptr, cols, frontier):
     """Sorted unique columns reachable from the given row set."""
     if frontier.size == 0:
         return _EMPTY.copy()

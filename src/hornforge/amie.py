@@ -17,11 +17,8 @@ from .kg import KnowledgeGraph
 from .metrics import (
     RuleMetrics,
     as_fraction,
-    cwa_body_size,
     enumerate_solutions,
-    lazy_denominator,
-    pca_body_size,
-    pca_direction,
+    gated_metrics,
     support,
 )
 from .rules import (
@@ -359,35 +356,11 @@ def _evaluate_candidate(kg, rule: Rule, config: MinerConfig) -> _Record:
     )
     if rec.head_coverage < config.min_head_coverage or not rec.closed or supp == 0:
         return rec
-    outcome = lazy_denominator(
-        kg,
-        rule,
-        config.confidence_kind,
-        config.min_confidence,
-        object_identity=config.object_identity,
-        support_value=supp,
+    rec.metrics = gated_metrics(
+        kg, rule, config.confidence_kind, config.min_confidence, supp, config.object_identity
     )
-    if not outcome.passed:
-        return rec
-    denom = outcome.denominator
-    conf = Fraction(supp, denom) if denom else Fraction(0)
-    rec.confidence = conf
-    if conf < config.min_confidence:
-        return rec
-    direction = pca_direction(kg, rule)
-    if config.confidence_kind == "pca":
-        cwa = cwa_body_size(kg, rule, config.object_identity)
-        pca = denom
-    else:
-        cwa = denom
-        pca = pca_body_size(kg, rule, direction, config.object_identity)
-    rec.metrics = RuleMetrics(
-        support=supp,
-        head_fact_count=rec.head_fact_count,
-        cwa_body_size=cwa,
-        pca_body_size=pca,
-        pca_direction=direction,
-    )
+    if rec.metrics is not None:
+        rec.confidence = rec.metrics.confidence(config.confidence_kind)
     return rec
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .amie import MinedRule
 from .kg import KnowledgeGraph
-from .metrics import as_fraction, evaluate
+from .metrics import as_fraction, gated_metrics, support
 from .rules import MAX_BODY_ATOMS, Atom, Rule, canonicalize, const, render_rule, sort_key, var
 
 
@@ -192,7 +192,10 @@ def _profiles_up_to(max_len: int):
 
 def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
     """Sampled bottom-up mining; returns MinedRule entries in the same
-    order as the top-down miner.  With a fixed seed and sample budget the
+    order as the top-down miner.  A fresh candidate is decided as the
+    top-down miner decides one: support against min_support first, then the
+    chosen confidence's denominator counted lazily, and full metrics only
+    for a rule that is stored.  With a fixed seed and sample budget the
     result is identical from run to run."""
     if config is None:
         config = AnytimeConfig()
@@ -250,11 +253,18 @@ def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
             if rule in stored:
                 eligible.append(rule)
                 continue
-            metrics = evaluate(kg, rule, object_identity=config.object_identity)
-            if (
-                metrics.support >= config.min_support
-                and metrics.confidence(config.confidence_kind) >= config.min_confidence
-            ):
+            supp = support(kg, rule, config.object_identity)
+            if supp < config.min_support:
+                continue
+            metrics = gated_metrics(
+                kg,
+                rule,
+                config.confidence_kind,
+                config.min_confidence,
+                supp,
+                config.object_identity,
+            )
+            if metrics is not None:
                 stored[rule] = metrics
                 eligible.append(rule)
                 for p in producers[rule]:

@@ -90,9 +90,7 @@ class SparseBoolMatrix:
     def __matmul__(self, other: "SparseBoolMatrix") -> "SparseBoolMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        indptr, cols = _kernels.spgemm_bool(
-            self.indptr, self.cols, other.indptr, other.cols, self.n
-        )
+        indptr, cols = _kernels.spgemm_bool(self.indptr, self.cols, other.indptr, other.cols)
         return SparseBoolMatrix(self.n, indptr, cols)
 
     def __eq__(self, other):
@@ -251,7 +249,7 @@ def tensorlog_infer(kg, rule: Rule, x) -> EntityVector:
         m = adjacency_matrix(kg, r)
         if inv:
             m = m.transpose()
-        frontier = _kernels.frontier_reach(m.indptr, m.cols, frontier, n)
+        frontier = _kernels.frontier_reach(m.indptr, m.cols, frontier)
     return EntityVector(n, frozenset(int(i) for i in frontier))
 
 

@@ -380,9 +380,20 @@ def support(kg: KnowledgeGraph, rule: Rule, object_identity: bool = False) -> in
         if fast is not None:
             return fast
     catoms = tuple(_compile(a) for a in rule.body)
+    head = rule.head
+    r = head.relation
+    # a constant in the head leaves only the head facts it indexes
+    if not head.subject.is_var:
+        c = head.subject.index
+        head_facts = ((c, o) for o in kg.objects_of(r, c))
+    elif not head.object.is_var:
+        c = head.object.index
+        head_facts = ((s, c) for s in kg.subjects_of(r, c))
+    else:
+        head_facts = kg.pairs(r)
     count = 0
-    for s, o in kg.pairs(rule.head.relation):
-        binding = _bind_head_fact(rule.head, s, o)
+    for s, o in head_facts:
+        binding = _bind_head_fact(head, s, o)
         if binding is None:
             continue
         if object_identity:
@@ -533,8 +544,11 @@ def lazy_denominator(
     """Denominator count that aborts once the confidence threshold is lost.
 
     The count stops as soon as it exceeds support / min_conf, at which point
-    the rule cannot reach min_conf; the accept decision matches eager
-    evaluation exactly.
+    the rule cannot reach min_conf.  For support of at least 1 the
+    denominator is at least the support, so `passed` is exactly the eager
+    test confidence >= min_conf.  At zero support it is not: a body with no
+    solutions passes with denominator 0 while its eager confidence is 0.
+    Callers therefore reject zero-support rules before calling this.
     """
     mc = as_fraction(min_conf)
     if not 0 < mc <= 1:
@@ -550,6 +564,34 @@ def lazy_denominator(
     if size is None:
         return LazyOutcome(False, None)
     return LazyOutcome(True, size)
+
+
+def gated_metrics(kg, rule, kind: str, min_conf, supp: int, object_identity=False):
+    """RuleMetrics of a rule with support `supp` (at least 1) whose `kind`
+    confidence reaches min_conf, or None when it does not.
+
+    The `kind` denominator is counted lazily; the other one only for a rule
+    that passes.  A returned value equals evaluate() on the same rule.
+    """
+    if supp < 1:
+        raise ValueError("gated evaluation needs support of at least 1")
+    outcome = lazy_denominator(
+        kg, rule, kind, min_conf, object_identity=object_identity, support_value=supp
+    )
+    if not outcome.passed:
+        return None
+    direction = pca_direction(kg, rule)
+    if kind == "pca":
+        cwa, pca = cwa_body_size(kg, rule, object_identity), outcome.denominator
+    else:
+        cwa, pca = outcome.denominator, pca_body_size(kg, rule, direction, object_identity)
+    return RuleMetrics(
+        support=supp,
+        head_fact_count=kg.fact_count(rule.head.relation),
+        cwa_body_size=cwa,
+        pca_body_size=pca,
+        pca_direction=direction,
+    )
 
 
 # --- example-set weighting -------------------------------------------------

@@ -279,3 +279,53 @@ class TestMineAnytime:
     def test_empty_graph(self):
         with pytest.raises(ValueError, match="empty graph"):
             mine_anytime(hf.load_triples(""), AnytimeConfig(rounds=1, round_samples=5))
+
+
+class TestGatedEvaluation:
+    @pytest.mark.parametrize("min_support", [1, 3])
+    @pytest.mark.parametrize("object_identity", [False, True])
+    @pytest.mark.parametrize("kind", ["std", "pca"])
+    def test_gated_equals_eager(self, kind, object_identity, min_support, monkeypatch):
+        # every candidate of every round, eagerly evaluated, decides what
+        # the gated miner must store; thresholds with small denominators
+        # put denominators right at the lazy cutoff
+        candidates = set()
+        real = hf.anyburl.generalize
+
+        def spy(path):
+            rules = real(path)
+            candidates.update(rules)
+            return rules
+
+        monkeypatch.setattr(hf.anyburl, "generalize", spy)
+        rng = random.Random(f"gated/{kind}/{object_identity}/{min_support}")
+        thresholds = [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+        accepted = rejected = 0
+        for _ in range(30):
+            kg = random_kg(rng)
+            candidates.clear()
+            cfg = AnytimeConfig(
+                seed=rng.randrange(1000),
+                rounds=3,
+                round_samples=30,
+                min_support=min_support,
+                min_confidence=rng.choice(thresholds),
+                confidence_kind=kind,
+                max_length=2,
+                object_identity=object_identity,
+            )
+            mined = mine_anytime(kg, cfg)
+            eager = {
+                rule: hf.evaluate(kg, rule, object_identity=object_identity) for rule in candidates
+            }
+            passing = {
+                rule
+                for rule, m in eager.items()
+                if m.support >= min_support and m.confidence(kind) >= cfg.min_confidence
+            }
+            assert {m.rule for m in mined} == passing
+            for m in mined:
+                assert m.metrics == eager[m.rule]
+            accepted += len(passing)
+            rejected += len(candidates) - len(passing)
+        assert accepted >= 20 and rejected >= 20

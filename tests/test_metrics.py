@@ -7,13 +7,16 @@ import pytest
 from hornforge import (
     Atom,
     ExampleSets,
+    LazyOutcome,
     Rule,
     as_fraction,
+    const,
     covered,
     cwa_body_size,
     enumerate_solutions,
     evaluate,
     head_coverage,
+    is_connected,
     lazy_denominator,
     load_triples,
     marginal_weight,
@@ -26,6 +29,7 @@ from hornforge import (
     support,
     var,
 )
+from hornforge.metrics import gated_metrics
 from oracles import brute_covered, brute_metrics, random_kg, all_chain_rules
 
 
@@ -54,6 +58,29 @@ def random_two_var_rules(kg, rng, count):
         from hornforge import is_connected, is_safe
 
         if is_connected(rule) and is_safe(rule):
+            out.append(rule)
+    return out
+
+
+def random_constant_head_rules(kg, rng, count):
+    """Random connected rules whose head has one constant, subject or
+    object, drawn from every entity (so often one with no head fact), and
+    1-2 body atoms over vars x,y,z and that constant."""
+    n_rel, n_ent = len(kg.relations), len(kg.entities)
+    out = []
+    tries = 0
+    while len(out) < count and tries < count * 30:
+        tries += 1
+        c = const(rng.randrange(n_ent))
+        r = rng.randrange(n_rel)
+        head = Atom(r, c, var(0)) if rng.randrange(2) else Atom(r, var(0), c)
+        terms = [var(0), var(1), var(2), c]
+        body = tuple(
+            Atom(rng.randrange(n_rel), rng.choice(terms), rng.choice(terms))
+            for _ in range(rng.randint(1, 2))
+        )
+        rule = Rule(head, body)
+        if is_connected(rule):
             out.append(rule)
     return out
 
@@ -92,6 +119,23 @@ class TestSupport:
             kg = random_kg(rng)
             for rule in random_two_var_rules(kg, rng, 10):
                 assert support(kg, rule, object_identity=True) <= support(kg, rule)
+
+    @pytest.mark.parametrize("object_identity", [False, True])
+    def test_constant_in_head_matches_brute_force(self, object_identity):
+        rng = random.Random(47)
+        checked = no_head_fact = 0
+        for _ in range(60):
+            kg = random_kg(rng)
+            for rule in random_constant_head_rules(kg, rng, 8):
+                bm = brute_metrics(kg, rule, object_identity)
+                assert support(kg, rule, object_identity) == bm.support
+                h = rule.head
+                if h.subject.is_var:
+                    no_head_fact += not kg.has_object(h.relation, h.object.index)
+                else:
+                    no_head_fact += not kg.has_subject(h.relation, h.subject.index)
+                checked += 1
+        assert checked >= 300 and no_head_fact >= 50
 
     def test_object_identity_rejects_merged_variables(self):
         kg = load_triples("a\tr\ta\na\tr\tb\n")
@@ -278,6 +322,15 @@ class TestLazyDenominator:
     def test_supplied_support_short_circuits(self, sample_kg, rule_r):
         out = lazy_denominator(sample_kg, rule_r, "cwa", Fraction(1, 10), support_value=2)
         assert out == lazy_denominator(sample_kg, rule_r, "cwa", Fraction(1, 10))
+
+    def test_zero_support_passes_on_an_empty_body(self, sample_kg):
+        # the lazy test is not the eager one at zero support, so the gate
+        # both miners share refuses it
+        r = parse_rule("nationality(?a, ?c) & nationality(?c, ?b) => nationality(?a, ?b)", sample_kg)
+        assert support(sample_kg, r) == 0
+        assert lazy_denominator(sample_kg, r, "cwa", Fraction(1, 10)) == LazyOutcome(True, 0)
+        with pytest.raises(ValueError, match="support of at least 1"):
+            gated_metrics(sample_kg, r, "pca", Fraction(1, 10), 0)
 
     def test_decision_matches_eager(self):
         # supp >= 1 keeps the eager ratio well-defined

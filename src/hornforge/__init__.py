@@ -35,6 +35,7 @@ from .metrics import (
     pca_body_size,
     pca_confidence,
     pca_direction,
+    projections,
     rudik_weight,
     std_confidence,
     support,

@@ -19,6 +19,7 @@ from .metrics import (
     as_fraction,
     enumerate_solutions,
     gated_metrics,
+    projections,
     support,
 )
 from .rules import (
@@ -66,6 +67,21 @@ class MinerConfig:
 class MinedRule:
     rule: Rule
     metrics: RuleMetrics
+
+
+def sort_mined(kg: KnowledgeGraph, mined, kind: str):
+    """MinedRule entries in the output order of both miners: head relation
+    label, then descending `kind` confidence, head coverage, and rule text."""
+
+    def key(m):
+        return (
+            kg.relations.label(m.rule.head.relation),
+            -m.metrics.confidence(kind),
+            -m.metrics.head_coverage,
+            render_rule(m.rule, kg),
+        )
+
+    return sorted(mined, key=key)
 
 
 def seed_rules(kg: KnowledgeGraph, config: MinerConfig = None):
@@ -144,25 +160,18 @@ def refine_instantiated(kg, rule: Rule, config: MinerConfig):
     """Children adding one atom that joins an existing variable to a constant.
 
     Constants are drawn from the rule's own support witnesses, so every
-    child has support at least one.
+    child has support at least one.  Each variable's witness values are
+    listed on their own, so memory stays bounded by the distinct values
+    rather than by the number of witnesses.
     """
     if not config.enable_instantiation or len(rule) >= config.max_len:
         return []
-    sols = enumerate_solutions(
-        kg, rule.body + (rule.head,), config.object_identity, limit=_WITNESS_LIMIT
-    )
-    if sols is None:
-        return []
-    values = {}
-    for sol in sols:
-        for v, val in sol.items():
-            values.setdefault(v, set()).add(val)
     out = []
     seen = set()
     existing = set(rule.atoms)
     for v in rule.variables():
         atoms = set()
-        for val in values.get(v, ()):
+        for (val,) in projections(kg, rule.atoms, (v,), None, config.object_identity):
             for r, o in kg.out_edges(val):
                 atoms.add(Atom(r, var(v), const(o)))
             for r, s in kg.in_edges(val):
@@ -448,14 +457,5 @@ def mine(kg: KnowledgeGraph, config: MinerConfig = None):
             if not blocked:
                 output.append((rec.rule, rec.metrics, rec.confidence))
         frontier = [r for r in records if r.head_coverage >= config.min_head_coverage]
-
-    def final_key(item):
-        rule, metrics, conf = item
-        return (
-            kg.relations.label(rule.head.relation),
-            -conf,
-            -metrics.head_coverage,
-            render_rule(rule, kg),
-        )
-
-    return [MinedRule(rule, metrics) for rule, metrics, _ in sorted(output, key=final_key)]
+    mined = [MinedRule(rule, metrics) for rule, metrics, _ in output]
+    return sort_mined(kg, mined, config.confidence_kind)

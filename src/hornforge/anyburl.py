@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amie import MinedRule
+from .amie import MinedRule, sort_mined
 from .kg import KnowledgeGraph
 from .metrics import as_fraction, gated_metrics, support
-from .rules import MAX_BODY_ATOMS, Atom, Rule, canonicalize, const, render_rule, sort_key, var
+from .rules import MAX_BODY_ATOMS, Atom, Rule, canonicalize, const, sort_key, var
 
 
 @dataclass(frozen=True)
@@ -281,14 +281,5 @@ def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
         length_cap = MAX_BODY_ATOMS if config.max_length is None else config.max_length
         if sat >= config.saturation_threshold and max_len < length_cap:
             max_len += 1
-
-    def final_key(item):
-        rule, metrics = item
-        return (
-            kg.relations.label(rule.head.relation),
-            -metrics.confidence(config.confidence_kind),
-            -metrics.head_coverage,
-            render_rule(rule, kg),
-        )
-
-    return [MinedRule(rule, metrics) for rule, metrics in sorted(stored.items(), key=final_key)]
+    mined = [MinedRule(rule, metrics) for rule, metrics in stored.items()]
+    return sort_mined(kg, mined, config.confidence_kind)

@@ -24,7 +24,7 @@ from .matrix import (
 )
 from .metrics import cwa_body_size, support
 from .predict import complete
-from .rules import Atom, Rule, RuleParseError, parse_rule, render_rule, var
+from .rules import MAX_BODY_ATOMS, Atom, Rule, RuleParseError, parse_rule, render_rule, var
 
 HEADER = "rule\tsupport\tsupport_frac_hc\thead_coverage\tstd_conf\tpca_conf\tpca_direction"
 
@@ -186,6 +186,9 @@ def _cmd_verify(args) -> int:
             print(f"error: unknown relation: {args.head}", file=sys.stderr)
             return 64
         heads = [rid]
+    if not 2 <= args.max_len <= MAX_BODY_ATOMS + 1:
+        print(f"error: --max-len must lie in [2, {MAX_BODY_ATOMS + 1}]", file=sys.stderr)
+        return 64
     checked = 0
     bad = []
     for head_rel in heads:
@@ -231,6 +234,9 @@ def _cmd_predict(args) -> int:
     known = kg.entities.get(known_label)
     if known is None:
         print(f"error: unknown entity: {known_label}", file=sys.stderr)
+        return 64
+    if args.top < 1:
+        print("error: --top must be at least 1", file=sys.stderr)
         return 64
     conf_col = 4 if args.confidence_kind == "std" else 5
     scored = []

@@ -2,9 +2,15 @@
 
 All ratios are exact fractions.Fraction values; callers render decimals.
 Support and the confidence denominators count distinct head-variable
-substitutions, with body variables treated existentially.  The matrix
-oracle in matrix.py recomputes the same quantities for chain rules by a
-separate route and must always agree.
+substitutions, with body variables treated existentially.  Two searches
+do the joining: `_satisfiable` answers whether a conjunction has a
+solution under a binding, and `projections` lists the distinct
+projections of its solutions onto chosen variables.  The generic
+denominators, rule application in predict.py and the top-down miner's
+witness values all go through `projections`; short chain shapes have
+index fast paths besides.  The matrix oracle in matrix.py recomputes the
+same quantities for chain rules by a separate route and must always
+agree.
 """
 
 from __future__ import annotations
@@ -91,33 +97,36 @@ def _satisfiable(kg, catoms, binding, used) -> bool:
     return False
 
 
-def _count_projections(kg, catoms, head_vars, binding0, oi, cutoff=None, proj_filter=None):
-    """Distinct head-variable projections of body solutions.
+def projections(kg, atoms, out_vars, binding=None, object_identity=False, cutoff=None, keep=None):
+    """Distinct out_vars value tuples over the solutions of a conjunction of
+    atoms, in search order.
 
-    Returns the count, or None when a cutoff is given and exceeded.
+    binding fixes variables up front; object_identity makes distinct
+    variables take distinct entities.  The search binds the cheapest atom
+    first and stops branching once every out variable is bound: a tuple
+    seen before is dropped before its existence check, and the remaining
+    atoms need only one solution.  keep, when given, is called with the
+    binding once per satisfiable tuple and drops the tuple when it returns
+    false.  Returns a list, or None when cutoff is given and exceeded.
     """
-    counted = set()
-    rejected = set()
-    binding = dict(binding0)
-    used = set(binding.values()) if oi else None
-    hv = tuple(head_vars)
+    binding = dict(binding or {})
+    used = set(binding.values()) if object_identity else None
+    out_vars = tuple(out_vars)
+    found = []
+    seen = set()
     aborted = False
 
     def rec(remaining):
         nonlocal aborted
-        unbound = [v for v in hv if v not in binding]
-        if not unbound:
-            proj = tuple(binding[v] for v in hv)
-            if proj in counted or proj in rejected:
+        if all(v in binding for v in out_vars):
+            proj = tuple(binding[v] for v in out_vars)
+            if proj in seen or not _satisfiable(kg, remaining, binding, used):
                 return
-            if not _satisfiable(kg, remaining, binding, used):
+            seen.add(proj)
+            if keep is not None and not keep(binding):
                 return
-            # filter runs only on satisfiable projections, exactly once each
-            if proj_filter is not None and not proj_filter(binding):
-                rejected.add(proj)
-                return
-            counted.add(proj)
-            if cutoff is not None and len(counted) > cutoff:
+            found.append(proj)
+            if cutoff is not None and len(found) > cutoff:
                 aborted = True
             return
         if not remaining:
@@ -133,8 +142,8 @@ def _count_projections(kg, catoms, head_vars, binding0, oi, cutoff=None, proj_fi
             if aborted:
                 return
 
-    rec(tuple(catoms))
-    return None if aborted else len(counted)
+    rec(tuple(_compile(a) for a in atoms))
+    return None if aborted else found
 
 
 def enumerate_solutions(kg, atoms, object_identity=False, limit=None):
@@ -142,32 +151,9 @@ def enumerate_solutions(kg, atoms, object_identity=False, limit=None):
 
     Returns a list of dicts, or None when limit is given and exceeded.
     """
-    catoms = tuple(_compile(a) for a in atoms)
-    out = []
-    binding = {}
-    used = set() if object_identity else None
-    aborted = False
-
-    def rec(remaining):
-        nonlocal aborted
-        if not remaining:
-            out.append(dict(binding))
-            if limit is not None and len(out) > limit:
-                aborted = True
-            return
-        idx = min(range(len(remaining)), key=lambda i: _estimate(kg, remaining[i], binding))
-        cat = remaining[idx]
-        rest = remaining[:idx] + remaining[idx + 1 :]
-        for ext in _ext_candidates(kg, cat, binding):
-            if _apply_ext(binding, used, ext) < 0:
-                continue
-            rec(rest)
-            _undo_ext(binding, used, ext)
-            if aborted:
-                return
-
-    rec(catoms)
-    return None if aborted else out
+    vs = sorted({v for a in atoms for v in a.variables()})
+    sols = projections(kg, atoms, vs, None, object_identity, limit)
+    return None if sols is None else [dict(zip(vs, sol)) for sol in sols]
 
 
 def _bind_head_fact(head, s, o):
@@ -312,7 +298,7 @@ def _support_fast(kg, rule):
 # (r(x, y) or r(y, x); r1 between x and z then r2 between z and y, each in
 # either orientation), the projections read straight off the subject/object
 # indexes, with the PCA filter applied per projection.  object_identity and
-# every other body shape take the generic join in _count_projections, which
+# every other body shape take the generic join in projections, which
 # test_random_rule_shapes and test_object_identity_routes_agree keep checked
 # against brute force.
 
@@ -431,8 +417,8 @@ def cwa_body_size(kg, rule, object_identity=False, cutoff=None):
     if steps is not None:
         return _chain_denominator(kg, rule.head.relation, steps, None, cutoff)
     _check_denominator_preconditions(rule)
-    catoms = tuple(_compile(a) for a in rule.body)
-    return _count_projections(kg, catoms, rule.head_variables(), {}, object_identity, cutoff)
+    sols = projections(kg, rule.body, rule.head_variables(), None, object_identity, cutoff)
+    return None if sols is None else len(sols)
 
 
 def pca_direction(kg, rule, direction: str = "auto") -> str:
@@ -471,11 +457,9 @@ def pca_body_size(kg, rule, direction="auto", object_identity=False, cutoff=None
     chosen = pca_direction(kg, rule, direction)
     if steps is not None:
         return _chain_denominator(kg, rule.head.relation, steps, chosen, cutoff)
-    catoms = tuple(_compile(a) for a in rule.body)
-    filt = _pca_filter(kg, rule.head, chosen)
-    return _count_projections(
-        kg, catoms, rule.head_variables(), {}, object_identity, cutoff, filt
-    )
+    keep = _pca_filter(kg, rule.head, chosen)
+    sols = projections(kg, rule.body, rule.head_variables(), None, object_identity, cutoff, keep)
+    return None if sols is None else len(sols)
 
 
 def std_confidence(kg, rule, object_identity=False) -> Fraction:

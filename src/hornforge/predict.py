@@ -1,9 +1,9 @@
 """Rule execution: fact prediction, negative examples, greedy selection,
 inconsistency detection.
 
-Rules fire under the same substitution semantics as metrics.py; a
-prediction is a head fact whose body is satisfiable, whether or not the
-fact is already known.
+Rules fire under the same substitution semantics as metrics.py, through
+its public join `projections`; a prediction is a head fact whose body is
+satisfiable, whether or not the fact is already known.
 """
 
 from __future__ import annotations
@@ -12,15 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kg import KnowledgeGraph
-from .metrics import (
-    _bind_head_fact,
-    _compile,
-    _count_projections,
-    _satisfiable,
-    as_fraction,
-    covered,
-    pca_confidence,
-)
+from .metrics import as_fraction, covered, pca_confidence, projections
 from .rules import Rule, is_connected, is_safe, sort_key
 
 
@@ -42,25 +34,12 @@ class NegativeRule:
     rule: Rule
 
 
-def _head_projections(kg, body, out_vars, binding0=None, object_identity=False):
-    """Distinct out_vars value tuples with the body satisfiable."""
-    projections = []
-
-    def collect(binding):
-        projections.append(tuple(binding[v] for v in out_vars))
-        return True
-
-    # reuse the projection counter, collecting instead of filtering
-    _count_projections(
-        kg,
-        tuple(_compile(a) for a in body),
-        out_vars,
-        binding0 or {},
-        object_identity,
-        cutoff=None,
-        proj_filter=collect,
-    )
-    return projections
+def _head_pair(head, hv, proj):
+    """The head's (subject, object) under the head-variable values proj."""
+    binding = dict(zip(hv, proj))
+    s = binding[head.subject.index] if head.subject.is_var else head.subject.index
+    o = binding[head.object.index] if head.object.is_var else head.object.index
+    return s, o
 
 
 def apply_rule(kg: KnowledgeGraph, rule: Rule, confidence=None, object_identity=False):
@@ -73,10 +52,8 @@ def apply_rule(kg: KnowledgeGraph, rule: Rule, confidence=None, object_identity=
     head = rule.head
     hv = rule.head_variables()
     out = []
-    for proj in _head_projections(kg, rule.body, hv, object_identity=object_identity):
-        binding = dict(zip(hv, proj))
-        s = binding[head.subject.index] if head.subject.is_var else head.subject.index
-        o = binding[head.object.index] if head.object.is_var else head.object.index
+    for proj in projections(kg, rule.body, hv, None, object_identity):
+        s, o = _head_pair(head, hv, proj)
         fact = (s, head.relation, o)
         out.append(Prediction(fact, kg.has_pair(head.relation, s, o), ((rule, conf),)))
     out.sort(key=lambda p: p.fact)
@@ -89,8 +66,10 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
     scored_rules: (Rule, confidence) pairs.  Each candidate entity gets the
     descending vector of confidences of the rules that predict it; vectors
     compare lexicographically with missing entries as minus infinity.
-    Returns (entity id, vector) pairs, best first.
+    Returns (entity id, vector) pairs, best first, at most top_k of them.
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be at least 1")
     if (subject is None) == (object is None):
         raise ValueError("exactly one of subject and object must be given")
     if isinstance(relation, str):
@@ -116,12 +95,10 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
             continue
         conf = as_fraction(conf)
         if free_term.is_var:
-            for (val,) in _head_projections(kg, rule.body, (free_term.index,), binding):
+            for (val,) in projections(kg, rule.body, (free_term.index,), binding):
                 candidates.setdefault(val, []).append(conf)
-        else:
-            catoms = tuple(_compile(a) for a in rule.body)
-            if _satisfiable(kg, catoms, dict(binding), None):
-                candidates.setdefault(free_term.index, []).append(conf)
+        elif projections(kg, rule.body, (), binding):
+            candidates.setdefault(free_term.index, []).append(conf)
     ranked = []
     for ent, confs in candidates.items():
         ranked.append((ent, tuple(sorted(confs, reverse=True))))
@@ -195,11 +172,8 @@ def find_inconsistencies(kg: KnowledgeGraph, negative_rules) -> list:
         rule = nrule.rule if isinstance(nrule, NegativeRule) else nrule
         if not is_connected(rule):
             raise ValueError("disconnected rule")
-        catoms = tuple(_compile(a) for a in rule.body)
-        for s, o in kg.pairs(rule.head.relation):
-            binding = _bind_head_fact(rule.head, s, o)
-            if binding is None:
-                continue
-            if _satisfiable(kg, catoms, binding, None):
-                out.add((s, rule.head.relation, o))
+        hv = rule.head_variables()
+        for proj in projections(kg, rule.atoms, hv):
+            s, o = _head_pair(rule.head, hv, proj)
+            out.add((s, rule.head.relation, o))
     return sorted(out)

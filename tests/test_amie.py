@@ -194,6 +194,16 @@ class TestRefineInstantiated:
         cfg = MinerConfig(enable_instantiation=True)
         assert refine_instantiated(sample_kg, rule_r, cfg) == []
 
+    def test_witness_bound_keeps_every_child(self, sample_kg, monkeypatch):
+        speaks_seed = next(
+            s for s in seed_rules(sample_kg) if sample_kg.relations.label(s.head.relation) == "speaks"
+        )
+        cfg = MinerConfig(enable_instantiation=True)
+        expected = refine_instantiated(sample_kg, speaks_seed, cfg)
+        assert expected
+        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", 1)
+        assert refine_instantiated(sample_kg, speaks_seed, cfg) == expected
+
 
 class TestRefineCombined:
     def test_union_of_operators(self, sample_kg):

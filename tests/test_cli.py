@@ -129,6 +129,12 @@ class TestVerify:
         assert code == 64
         assert "unknown relation" in err
 
+    @pytest.mark.parametrize("max_len", ["1", "0", "-3", "10"])
+    def test_bad_max_len(self, max_len):
+        code, out, err = cap(["verify", "--input", str(FIXTURE), "--max-len", max_len])
+        assert (code, out) == (64, "")
+        assert err.startswith("error:")
+
     def test_divergence_exits_one(self, monkeypatch):
         monkeypatch.setattr(cli, "matrix_support", lambda kg, rule: 999)
         code, out, _ = cap(["verify", "--input", str(FIXTURE), "--head", "speaks"])
@@ -162,6 +168,14 @@ class TestPredict:
         )
         assert code == 0
         assert out.count("\n") == 2
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one(self, rules_file, top):
+        code, out, err = cap(
+            ["predict", "--input", str(FIXTURE), "--rules", str(rules_file), "--query", "speaks(?, German)", "--top", top]
+        )
+        assert (code, out) == (64, "")
+        assert err.startswith("error:")
 
     def test_single_confidence_rule(self, rules_file):
         code, out, _ = cap(

@@ -24,6 +24,7 @@ from hornforge import (
     pca_body_size,
     pca_confidence,
     pca_direction,
+    projections,
     rudik_weight,
     std_confidence,
     support,
@@ -408,6 +409,28 @@ class TestEnumerateSolutions:
         atoms = [Atom(0, var(0), var(1))]
         assert len(enumerate_solutions(kg, atoms)) == 2
         assert len(enumerate_solutions(kg, atoms, object_identity=True)) == 1
+
+
+class TestProjections:
+    def test_keep_runs_once_per_satisfiable_tuple(self, sample_kg, rule_r):
+        seen = []
+
+        def keep(binding):
+            seen.append((binding[0], binding[1]))
+            return binding[0] != ent(sample_kg, "E._Macron")
+
+        got = projections(sample_kg, rule_r.body, (0, 1), keep=keep)
+        assert len(seen) == len(set(seen))
+        assert set(seen) == set(projections(sample_kg, rule_r.body, (0, 1)))
+        assert set(got) == {s for s in seen if s[0] != ent(sample_kg, "E._Macron")}
+
+    def test_cutoff_and_ground_projection(self, sample_kg, rule_r):
+        n = len(projections(sample_kg, rule_r.body, (0, 1)))
+        assert projections(sample_kg, rule_r.body, (0, 1), cutoff=n - 1) is None
+        assert len(projections(sample_kg, rule_r.body, (0, 1), cutoff=n)) == n
+        merkel, german = ent(sample_kg, "A._Merkel"), ent(sample_kg, "German")
+        assert projections(sample_kg, rule_r.body, (), {0: merkel, 1: german}) == [()]
+        assert projections(sample_kg, rule_r.body, (), {0: german, 1: merkel}) == []
 
 
 def speaks_examples(kg):

@@ -151,6 +151,11 @@ class TestComplete:
         got = complete(sample_kg, scored, "speaks", object=german, top_k=1)
         assert [sample_kg.entities.label(e) for e, _ in got] == ["A._Merkel"]
 
+    def test_top_k_below_one(self, sample_kg, rule_r):
+        german = sample_kg.entities.id("German")
+        with pytest.raises(ValueError, match="top_k"):
+            complete(sample_kg, [(rule_r, Fraction(1))], "speaks", object=german, top_k=-1)
+
     def test_constant_head_completion(self, sample_kg):
         wf = hf.parse_rule("birthCountry(?a, ?b) => worksFor(?a, EU)", sample_kg)
         merkel = sample_kg.entities.id("A._Merkel")

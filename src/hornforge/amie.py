@@ -6,6 +6,15 @@ output on confidence with lazy denominator counting, and prune
 refinements of output ancestors that fail to strictly improve
 confidence (skyline).  All candidate ordering is canonical so results
 are byte-identical across runs.
+
+Before a parent is refined, one witness sweep reads its solutions and
+keeps only the dangling and closing atoms some solution realizes, so
+children without support are never built.  The rows come from direct
+index joins for rules of one or two all-variable atoms without object
+identity, and from `metrics.projections` onto the variables the sweep
+reads otherwise.  Its one overrun point is past _WITNESS_LIMIT rows:
+the sweep then prunes nothing for that parent, which only lets
+zero-support children through, so the mined rules do not change.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from .kg import KnowledgeGraph
 from .metrics import (
     RuleMetrics,
     as_fraction,
-    enumerate_solutions,
     gated_metrics,
     projections,
     support,
@@ -26,10 +34,10 @@ from .rules import (
     MAX_BODY_ATOMS,
     Atom,
     Rule,
-    atom_count_by_variable,
     canonicalize,
     const,
     is_closed,
+    open_variables,
     render_rule,
     sort_key,
     var,
@@ -94,38 +102,35 @@ def seed_rules(kg: KnowledgeGraph, config: MinerConfig = None):
     return out
 
 
-def _open_var_count(rule: Rule) -> int:
-    return sum(1 for c in atom_count_by_variable(rule).values() if c == 1)
-
-
 def _closable(rule: Rule, max_len: int) -> bool:
     """A single added atom can bind at most two open variables, so a child
     whose open variables outnumber twice its remaining atom budget can never
     reach a closed rule."""
-    return _open_var_count(rule) <= 2 * (max_len - len(rule))
+    return len(open_variables(rule)) <= 2 * (max_len - len(rule))
+
+
+def _children(rule: Rule, atoms, max_len: int):
+    """The children adding one of `atoms` (those not already in the rule):
+    canonical, deduplicated, cut by _closable, in canonical order."""
+    children = {
+        canonicalize(Rule(rule.head, rule.body + (atom,))) for atom in atoms if atom not in rule.atoms
+    }
+    return sorted((c for c in children if _closable(c, max_len)), key=sort_key)
 
 
 def refine_dangling(kg, rule: Rule, config: MinerConfig, viable=None):
     """Children extending the body with one fresh-variable atom."""
     if len(rule) >= config.max_len:
         return []
-    fresh = max(rule.variables(), default=-1) + 1
-    out = []
-    seen = set()
-    for v in rule.variables():
-        for r in range(len(kg.relations)):
-            for subject_side in (True, False):
-                if viable is not None and (r, v, subject_side) not in viable:
-                    continue
-                atom = Atom(r, var(v), var(fresh)) if subject_side else Atom(r, var(fresh), var(v))
-                child = canonicalize(Rule(rule.head, rule.body + (atom,)))
-                if child in seen:
-                    continue
-                seen.add(child)
-                if _closable(child, config.max_len):
-                    out.append(child)
-    out.sort(key=sort_key)
-    return out
+    fresh = var(max(rule.variables(), default=-1) + 1)
+    atoms = [
+        Atom(r, var(v), fresh) if subject_side else Atom(r, fresh, var(v))
+        for v in rule.variables()
+        for r in range(len(kg.relations))
+        for subject_side in (True, False)
+        if viable is None or (r, v, subject_side) in viable
+    ]
+    return _children(rule, atoms, config.max_len)
 
 
 def refine_closing(kg, rule: Rule, config: MinerConfig, viable=None):
@@ -133,27 +138,15 @@ def refine_closing(kg, rule: Rule, config: MinerConfig, viable=None):
     if len(rule) >= config.max_len:
         return []
     vs = rule.variables()
-    out = []
-    seen = set()
-    existing = set(rule.atoms)
-    for a in vs:
-        for b in vs:
-            if a == b:
-                continue
-            for r in range(len(kg.relations)):
-                if viable is not None and (r, a, b) not in viable:
-                    continue
-                atom = Atom(r, var(a), var(b))
-                if atom in existing:
-                    continue
-                child = canonicalize(Rule(rule.head, rule.body + (atom,)))
-                if child in seen:
-                    continue
-                seen.add(child)
-                if _closable(child, config.max_len):
-                    out.append(child)
-    out.sort(key=sort_key)
-    return out
+    atoms = [
+        Atom(r, var(a), var(b))
+        for a in vs
+        for b in vs
+        if a != b
+        for r in range(len(kg.relations))
+        if viable is None or (r, a, b) in viable
+    ]
+    return _children(rule, atoms, config.max_len)
 
 
 def refine_instantiated(kg, rule: Rule, config: MinerConfig):
@@ -166,43 +159,58 @@ def refine_instantiated(kg, rule: Rule, config: MinerConfig):
     """
     if not config.enable_instantiation or len(rule) >= config.max_len:
         return []
-    out = []
-    seen = set()
-    existing = set(rule.atoms)
+    atoms = set()
     for v in rule.variables():
-        atoms = set()
         for (val,) in projections(kg, rule.atoms, (v,), None, config.object_identity):
             for r, o in kg.out_edges(val):
                 atoms.add(Atom(r, var(v), const(o)))
             for r, s in kg.in_edges(val):
                 atoms.add(Atom(r, const(s), var(v)))
-        for atom in sorted(atoms, key=lambda a: a.key()):
-            if atom in existing:
-                continue
-            child = canonicalize(Rule(rule.head, rule.body + (atom,)))
-            if child in seen:
-                continue
-            seen.add(child)
-            if _closable(child, config.max_len):
-                out.append(child)
-    out.sort(key=sort_key)
-    return out
+    return _children(rule, atoms, config.max_len)
 
 
 def refine(kg, rule: Rule, config: MinerConfig):
     """All refinements of a rule, canonical and deduplicated."""
-    seen = set()
-    out = []
-    for child in (
+    children = (
         refine_dangling(kg, rule, config)
         + refine_closing(kg, rule, config)
         + refine_instantiated(kg, rule, config)
+    )
+    return sorted(set(children), key=sort_key)
+
+
+def _index_join(kg, atoms):
+    """(variables, rows) of a rule of one or two all-variable atoms that
+    share a variable, each atom over two distinct variables: every solution
+    as a tuple of values in `variables` order, joined straight off the fact
+    indexes and yielded lazily.  None for any other shape."""
+    if len(atoms) > 2 or any(
+        not (a.subject.is_var and a.object.is_var) or a.subject.index == a.object.index
+        for a in atoms
     ):
-        if child not in seen:
-            seen.add(child)
-            out.append(child)
-    out.sort(key=sort_key)
-    return out
+        return None
+    a0, a1 = atoms[0], atoms[-1]
+    if kg.fact_count(a1.relation) < kg.fact_count(a0.relation):
+        a0, a1 = a1, a0  # iterate the smaller fact list
+    cols = (a0.subject.index, a0.object.index)
+    rows = kg.pairs(a0.relation)
+    if len(atoms) == 1:
+        return cols, rows
+    inner = (a1.subject.index, a1.object.index)
+    shared = [v for v in inner if v in cols]
+    if len(shared) == 2:
+        # the inner atom adds no variable: filter outer facts by a pair probe
+        ips = kg._pair_sets[a1.relation]
+        s_slot, o_slot = cols.index(inner[0]), cols.index(inner[1])
+        return cols, (row for row in rows if (row[s_slot], row[o_slot]) in ips)
+    if not shared:
+        return None
+    m_slot = cols.index(shared[0])
+    if inner[0] == shared[0]:
+        cidx, w = kg._sub_to_obj[a1.relation], inner[1]
+    else:
+        cidx, w = kg._obj_to_sub[a1.relation], inner[0]
+    return cols + (w,), (row + (wv,) for row in rows for wv in cidx.get(row[m_slot], ()))
 
 
 def _viable_refinements(kg, rule: Rule, config: MinerConfig):
@@ -212,25 +220,41 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     child with support > 0 if some witness already realizes it, so blind
     children outside these sets are skipped without evaluation.  Atoms whose
     child could never reach a closed rule are not collected either, mirroring
-    the _closable cut the refinement operators apply.  Returns (None, None)
-    when witness enumeration overruns its bound.
+    the _closable cut the refinement operators apply.  The witness rows come
+    from _index_join when the rule's shape allows it and object identity is
+    off, and otherwise from `projections` onto the variables the sweep reads.
+    Returns (None, None) when the rows overrun _WITNESS_LIMIT.
     """
     vs = rule.variables()
-    opens = frozenset(v for v, c in atom_count_by_variable(rule).items() if c == 1)
+    opens = frozenset(open_variables(rule))
     budget = 2 * (config.max_len - len(rule) - 1)
     pairs_needed = [(a, b) for a in vs for b in vs if a != b and len(opens - {a, b}) <= budget]
     dangling_vars = [v for v in vs if len(opens - {v}) + 1 <= budget]
     if not pairs_needed and not dangling_vars:
         return frozenset(), frozenset()
-    result = None
-    if not config.object_identity:
-        result = _collect_viable_fast(kg, rule, pairs_needed, dangling_vars)
-    if result is None:
-        result = _collect_viable_generic(kg, rule, config, pairs_needed, dangling_vars)
-    return result
-
-
-def _dangling_from_vals(kg, val_sets):
+    joined = None if config.object_identity else _index_join(kg, rule.atoms)
+    if joined is None:
+        cols = sorted({v for pair in pairs_needed for v in pair}.union(dangling_vars))
+        rows = projections(kg, rule.atoms, cols, None, config.object_identity, _WITNESS_LIMIT)
+    else:
+        cols, rows = joined
+    probe_pairs = [(a, b, cols.index(a), cols.index(b)) for a, b in pairs_needed]
+    dang_slots = [(v, cols.index(v)) for v in dangling_vars]
+    relations_linking = kg.relations_linking
+    closing = set()
+    val_sets = {v: set() for v in dangling_vars}
+    n = 0
+    for row in () if rows is None else rows:
+        n += 1
+        if n > _WITNESS_LIMIT:
+            break
+        for a, b, ia, ib in probe_pairs:
+            for r in relations_linking(row[ia], row[ib]):
+                closing.add((r, a, b))
+        for v, iv in dang_slots:
+            val_sets[v].add(row[iv])
+    if rows is None or n > _WITNESS_LIMIT:
+        return None, None  # witness overrun: prune nothing
     dangling = set()
     for v, vals in val_sets.items():
         for val in vals:
@@ -238,107 +262,7 @@ def _dangling_from_vals(kg, val_sets):
                 dangling.add((r, v, True))
             for r in kg.in_relations(val):
                 dangling.add((r, v, False))
-    return dangling
-
-
-def _collect_viable_generic(kg, rule, config, pairs_needed, dangling_vars):
-    sols = enumerate_solutions(
-        kg, rule.body + (rule.head,), config.object_identity, limit=_WITNESS_LIMIT
-    )
-    if sols is None:
-        return None, None
-    closing = set()
-    val_sets = {v: set() for v in dangling_vars}
-    for sol in sols:
-        for v in dangling_vars:
-            val_sets[v].add(sol[v])
-        for a, b in pairs_needed:
-            for r in kg.relations_linking(sol[a], sol[b]):
-                closing.add((r, a, b))
-    return closing, _dangling_from_vals(kg, val_sets)
-
-
-def _collect_viable_fast(kg, rule, pairs_needed, dangling_vars):
-    """Witness sweep by direct index joins for one- and two-atom rules with
-    all-variable, two-distinct-variable atoms.  None for uncovered shapes,
-    (None, None) on witness overrun."""
-    atoms = rule.body + (rule.head,)
-    if len(atoms) > 2:
-        return None
-    for a in atoms:
-        if not (a.subject.is_var and a.object.is_var) or a.subject.index == a.object.index:
-            return None
-    relations_linking = kg.relations_linking
-    closing = set()
-    val_sets = {v: set() for v in dangling_vars}
-
-    if len(atoms) == 1:
-        a0 = atoms[0]
-        pos = {a0.subject.index: 0, a0.object.index: 1}
-        rows = kg.pairs(a0.relation)
-        if len(rows) > _WITNESS_LIMIT:
-            return None, None
-        probe_pairs = [(a, b, pos[a], pos[b]) for a, b in pairs_needed]
-        dang_slots = [(v, pos[v]) for v in dangling_vars]
-        for row in rows:
-            for a, b, ia, ib in probe_pairs:
-                for r in relations_linking(row[ia], row[ib]):
-                    closing.add((r, a, b))
-            for v, iv in dang_slots:
-                val_sets[v].add(row[iv])
-        return closing, _dangling_from_vals(kg, val_sets)
-
-    a0, a1 = atoms
-    if kg.fact_count(a1.relation) < kg.fact_count(a0.relation):
-        a0, a1 = a1, a0  # iterate the smaller fact list
-    ov0, ov1 = a0.subject.index, a0.object.index
-    iv0, iv1 = a1.subject.index, a1.object.index
-    shared = {ov0, ov1} & {iv0, iv1}
-    if not shared:
-        return None
-    pos = {ov0: 0, ov1: 1}
-    n = 0
-    if len(shared) == 2:
-        # inner atom adds no variable: filter outer facts by a pair probe
-        ips = kg._pair_sets[a1.relation]
-        s_slot, o_slot = pos[iv0], pos[iv1]
-        probe_pairs = [(a, b, pos[a], pos[b]) for a, b in pairs_needed]
-        dang_slots = [(v, pos[v]) for v in dangling_vars]
-        for row in kg.pairs(a0.relation):
-            if (row[s_slot], row[o_slot]) not in ips:
-                continue
-            n += 1
-            if n > _WITNESS_LIMIT:
-                return None, None
-            for a, b, ia, ib in probe_pairs:
-                for r in relations_linking(row[ia], row[ib]):
-                    closing.add((r, a, b))
-            for v, iv in dang_slots:
-                val_sets[v].add(row[iv])
-        return closing, _dangling_from_vals(kg, val_sets)
-
-    m = next(iter(shared))
-    w = iv1 if iv0 == m else iv0
-    pos[w] = 2
-    m_slot = pos[m]
-    cidx = kg._sub_to_obj[a1.relation] if iv0 == m else kg._obj_to_sub[a1.relation]
-    probe_pairs = [(a, b, pos[a], pos[b]) for a, b in pairs_needed]
-    dang_slots = [(v, pos[v]) for v in dangling_vars]
-    for fs, fo in kg.pairs(a0.relation):
-        cands = cidx.get(fs if m_slot == 0 else fo)
-        if cands is None:
-            continue
-        n += len(cands)
-        if n > _WITNESS_LIMIT:
-            return None, None
-        for wv in cands:
-            row = (fs, fo, wv)
-            for a, b, ia, ib in probe_pairs:
-                for r in relations_linking(row[ia], row[ib]):
-                    closing.add((r, a, b))
-            for v, iv in dang_slots:
-                val_sets[v].add(row[iv])
-    return closing, _dangling_from_vals(kg, val_sets)
+    return closing, dangling
 
 
 @dataclass

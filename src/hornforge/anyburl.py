@@ -69,6 +69,10 @@ class AnytimeConfig:
         self.effort_smoothing = as_fraction(self.effort_smoothing)
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
+        if self.round_samples < 1:
+            raise ValueError("round_samples must be at least 1")
+        if self.round_ms is not None and self.round_ms < 1:
+            raise ValueError("round_ms must be at least 1")
         if self.min_support < 1:
             raise ValueError("min_support must be at least 1")
         if not 0 < self.min_confidence <= 1:
@@ -81,6 +85,8 @@ class AnytimeConfig:
             raise ValueError("start_length must be at least 1")
         if self.start_length > MAX_BODY_ATOMS:
             raise ValueError(f"start_length must be at most {MAX_BODY_ATOMS}")
+        if self.max_length is not None and self.max_length < 1:
+            raise ValueError("max_length must be at least 1")
         if self.max_length is not None and self.max_length > MAX_BODY_ATOMS:
             raise ValueError(f"max_length must be at most {MAX_BODY_ATOMS}")
         if not 0 < self.effort_smoothing <= 1:
@@ -206,13 +212,6 @@ def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
     if config.max_length is not None:
         max_len = min(max_len, config.max_length)
 
-    def run_task(task):
-        profile, seed = task
-        path = sample_path(kg, profile, random.Random(seed), config.object_identity)
-        if path is None:
-            return profile, ()
-        return profile, tuple(generalize(path))
-
     for _ in range(config.rounds):
         profiles = _profiles_up_to(max_len)
         for p in profiles:
@@ -222,28 +221,22 @@ def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
             weights.setdefault(p, initial)
         # keep a small floor so no profile starves permanently
         draw_weights = [max(float(weights[p]), 0.01) for p in profiles]
-        tasks = []
-        if config.round_ms is None:
-            for _ in range(config.round_samples):
-                p = master.choices(profiles, weights=draw_weights)[0]
-                tasks.append((p, master.getrandbits(64)))
-            results = [run_task(t) for t in tasks]
-        else:
-            deadline = time.monotonic() + config.round_ms / 1000.0
-            results = []
-            while time.monotonic() < deadline:
-                chunk = []
-                for _ in range(64):
-                    p = master.choices(profiles, weights=draw_weights)[0]
-                    chunk.append((p, master.getrandbits(64)))
-                tasks.extend(chunk)
-                results.extend(run_task(t) for t in chunk)
         round_rules = set()
         producers = {}
         samples_by_profile = {p: 0 for p in profiles}
-        for (profile, _seed), (_p, rules) in zip(tasks, results):
+        if config.round_ms is None:
+            draws = range(config.round_samples)
+        else:
+            deadline = time.monotonic() + config.round_ms / 1000.0
+            draws = iter(lambda: time.monotonic() < deadline, False)
+        for _ in draws:
+            profile = master.choices(profiles, weights=draw_weights)[0]
+            rng = random.Random(master.getrandbits(64))
             samples_by_profile[profile] += 1
-            for rule in rules:
+            path = sample_path(kg, profile, rng, config.object_identity)
+            if path is None:
+                continue
+            for rule in generalize(path):
                 round_rules.add(rule)
                 producers.setdefault(rule, set()).add(profile)
         stored_before = frozenset(stored)

@@ -10,6 +10,7 @@ or malformed input, 64 bad flag/query combinations.
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -159,15 +160,13 @@ def _cmd_mine(args) -> int:
 
 
 def _chain_rules(kg, head_rel, max_len):
-    """All closed chain rules with the given head, up to max_len atoms."""
-    n_rel = len(kg.relations)
+    """All closed chain rules with the given head, up to max_len atoms,
+    built one at a time."""
+    steps = [(r, inv) for r in range(len(kg.relations)) for inv in (False, True)]
     for body_len in range(1, max_len):
-        seqs = [[]]
-        for _ in range(body_len):
-            seqs = [s + [(r, inv)] for s in seqs for r in range(n_rel) for inv in (False, True)]
-        for seq in seqs:
-            # head r(?0, ?1), chain vars ?0 -> 2 -> 3 ... -> 1
-            chain_vars = [0] + list(range(2, body_len + 1)) + [1]
+        # head r(?0, ?1), chain vars ?0 -> 2 -> 3 ... -> 1
+        chain_vars = [0] + list(range(2, body_len + 1)) + [1]
+        for seq in itertools.product(steps, repeat=body_len):
             body = []
             for i, (r, inv) in enumerate(seq):
                 a, b = chain_vars[i], chain_vars[i + 1]

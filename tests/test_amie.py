@@ -7,7 +7,7 @@ import pytest
 
 import hornforge as hf
 from hornforge import MinerConfig, mine, parse_rule, refine_closing, refine_dangling, refine_instantiated, seed_rules
-from hornforge.amie import refine
+from hornforge.amie import _viable_refinements, refine
 from oracles import all_closed_rules, brute_support, random_kg
 
 TINY = Fraction(1, 10**9)
@@ -221,6 +221,85 @@ class TestRefineCombined:
         plain = set(refine(sample_kg, seed, MinerConfig()))
         inst = set(refine(sample_kg, seed, MinerConfig(enable_instantiation=True)))
         assert plain < inst
+
+
+def supported_parents(kg, config, levels):
+    """Seeds plus `levels` generations of their refinements with support."""
+    parents = frontier = seed_rules(kg)
+    for _ in range(levels):
+        frontier = [
+            child
+            for rule in frontier
+            for child in refine(kg, rule, config)
+            if brute_support(kg, child, config.object_identity) > 0
+        ]
+        parents = parents + frontier
+    return parents
+
+
+class TestWitnessSweep:
+    """_viable_refinements against brute-force support of every child."""
+
+    def check(self, kg, config, parents):
+        oi = config.object_identity
+        for rule in parents:
+            closing, dangling = _viable_refinements(kg, rule, config)
+            assert closing is not None
+            for op, viable in ((refine_closing, closing), (refine_dangling, dangling)):
+                pruned = op(kg, rule, config, viable=viable)
+                unpruned = op(kg, rule, config)
+                supported = [c for c in unpruned if brute_support(kg, c, oi) > 0]
+                if oi:
+                    # a dangling witness may reuse an entity the child forbids
+                    assert set(supported) <= set(pruned) <= set(unpruned)
+                else:
+                    assert pruned == supported
+
+    @pytest.mark.parametrize("object_identity", [False, True])
+    def test_seeds_and_supported_children(self, object_identity):
+        rng = random.Random(21)
+        config = MinerConfig(object_identity=object_identity)
+        for _ in range(15):
+            kg = random_kg(rng)
+            self.check(kg, config, supported_parents(kg, config, 1))
+
+    @pytest.mark.parametrize("object_identity", [False, True])
+    def test_three_atom_parents(self, object_identity):
+        rng = random.Random(22)
+        config = MinerConfig(max_len=4, object_identity=object_identity)
+        three = 0
+        for _ in range(6):
+            kg = random_kg(rng, max_entities=5, max_relations=3, max_facts=14)
+            parents = supported_parents(kg, config, 2)
+            three += sum(len(p) == 3 for p in parents)
+            self.check(kg, config, parents)
+        assert three > 0
+
+    @pytest.mark.parametrize("object_identity", [False, True])
+    def test_parents_with_a_constant(self, object_identity):
+        rng = random.Random(23)
+        config = MinerConfig(enable_instantiation=True, object_identity=object_identity)
+        with_constant = 0
+        for _ in range(10):
+            kg = random_kg(rng)
+            parents = [
+                child
+                for seed in seed_rules(kg)
+                for child in refine_instantiated(kg, seed, config)
+                if brute_support(kg, child, object_identity) > 0
+            ]
+            with_constant += len(parents)
+            self.check(kg, config, parents)
+        assert with_constant > 0
+
+    @pytest.mark.parametrize("object_identity", [False, True])
+    def test_overrun_prunes_nothing(self, sample_kg, monkeypatch, object_identity):
+        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", 1)
+        config = MinerConfig(object_identity=object_identity)
+        two_atom = canon("birthCountry(?a, ?c) => speaks(?a, ?b)", sample_kg)
+        for rule in seed_rules(sample_kg) + [two_atom]:
+            if hf.support(sample_kg, rule, object_identity) > 1:
+                assert _viable_refinements(sample_kg, rule, config) == (None, None)
 
 
 GOLDEN = [

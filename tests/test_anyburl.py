@@ -67,6 +67,11 @@ class TestAnytimeConfig:
             (dict(effort_smoothing=0), "effort_smoothing must lie"),
             (dict(start_length=9, max_length=None), "start_length must be at most 8"),
             (dict(max_length=9), "max_length must be at most 8"),
+            (dict(max_length=0), "max_length must be at least 1"),
+            (dict(round_samples=0), "round_samples must be at least 1"),
+            (dict(round_samples=-3), "round_samples must be at least 1"),
+            (dict(round_ms=0), "round_ms must be at least 1"),
+            (dict(round_ms=-5), "round_ms must be at least 1"),
         ],
     )
     def test_validation(self, kwargs, match):

@@ -3,11 +3,13 @@
 import io
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import hornforge.cli as cli
+from hornforge import load_triples
 from conftest import FIXTURE
 
 MINE_GOLDEN = """\
@@ -92,6 +94,11 @@ class TestMine:
             ["--miner", "anyburl", "--rounds", "0"],
             ["--max-len", "10"],
             ["--miner", "anyburl", "--max-path-length", "9"],
+            ["--miner", "anyburl", "--max-path-length", "0"],
+            ["--miner", "anyburl", "--round-samples", "0"],
+            ["--miner", "anyburl", "--round-samples", "-3"],
+            ["--miner", "anyburl", "--round-ms", "0"],
+            ["--miner", "anyburl", "--round-ms", "-5"],
         ],
     )
     def test_bad_flags(self, extra):
@@ -99,6 +106,12 @@ class TestMine:
         assert code == 64
         assert out == ""
         assert err.startswith("error:")
+
+    def test_witness_overrun_keeps_output(self, monkeypatch):
+        # an overrun switches pruning off; only zero-support children are added
+        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", 1)
+        code, out, _ = cap(["mine", "--input", str(FIXTURE)])
+        assert (code, out) == (0, MINE_GOLDEN)
 
     def test_missing_input(self):
         code, _, err = cap(["mine", "--input", "no_such_file.tsv"])
@@ -134,6 +147,17 @@ class TestVerify:
         code, out, err = cap(["verify", "--input", str(FIXTURE), "--max-len", max_len])
         assert (code, out) == (64, "")
         assert err.startswith("error:")
+
+    def test_chain_bodies_built_lazily(self):
+        kg = load_triples(FIXTURE)
+        tracemalloc.start()
+        try:
+            first = next(r for r in cli._chain_rules(kg, 0, 6) if len(r.body) == 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first.body) == 5
+        assert peak < 1 << 20
 
     def test_divergence_exits_one(self, monkeypatch):
         monkeypatch.setattr(cli, "matrix_support", lambda kg, rule: 999)

@@ -92,7 +92,7 @@ def sort_mined(kg: KnowledgeGraph, mined, kind: str):
     return sorted(mined, key=key)
 
 
-def seed_rules(kg: KnowledgeGraph, config: MinerConfig = None):
+def seed_rules(kg: KnowledgeGraph):
     """One empty-bodied two-variable head rule per non-empty relation."""
     out = []
     for r in range(len(kg.relations)):
@@ -257,11 +257,10 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
         return None, None  # witness overrun: prune nothing
     dangling = set()
     for v, vals in val_sets.items():
-        for val in vals:
-            for r in kg.out_relations(val):
-                dangling.add((r, v, True))
-            for r in kg.in_relations(val):
-                dangling.add((r, v, False))
+        out_rels = {r for val in vals for r, _ in kg.out_edges(val)}
+        in_rels = {r for val in vals for r, _ in kg.in_edges(val)}
+        dangling.update((r, v, True) for r in out_rels)
+        dangling.update((r, v, False) for r in in_rels)
     return closing, dangling
 
 
@@ -346,7 +345,7 @@ def mine(kg: KnowledgeGraph, config: MinerConfig = None):
         config = MinerConfig()
     seen = set()
     output = []  # (rule, metrics, confidence)
-    seeds = seed_rules(kg, config)
+    seeds = seed_rules(kg)
     seen.update(seeds)
     frontier = [_evaluate_candidate(kg, s, config) for s in seeds]
     frontier = [r for r in frontier if r.head_coverage >= config.min_head_coverage]

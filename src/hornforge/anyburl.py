@@ -58,15 +58,12 @@ class AnytimeConfig:
     saturation_threshold: Fraction = Fraction(9, 10)
     start_length: int = 1
     max_length: int | None = 3  # None grows walks up to MAX_BODY_ATOMS
-    effort_smoothing: Fraction = Fraction(1, 2)
-    profile_weights: dict | None = None  # optional initial PathProfile -> weight
     object_identity: bool = True
     seed: int = 0
 
     def __post_init__(self):
         self.min_confidence = as_fraction(self.min_confidence)
         self.saturation_threshold = as_fraction(self.saturation_threshold)
-        self.effort_smoothing = as_fraction(self.effort_smoothing)
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
         if self.round_samples < 1:
@@ -89,8 +86,6 @@ class AnytimeConfig:
             raise ValueError("max_length must be at least 1")
         if self.max_length is not None and self.max_length > MAX_BODY_ATOMS:
             raise ValueError(f"max_length must be at most {MAX_BODY_ATOMS}")
-        if not 0 < self.effort_smoothing <= 1:
-            raise ValueError("effort_smoothing must lie in (0, 1]")
 
 
 def sample_path(kg: KnowledgeGraph, profile: PathProfile, rng, object_identity=True):
@@ -215,10 +210,7 @@ def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
     for _ in range(config.rounds):
         profiles = _profiles_up_to(max_len)
         for p in profiles:
-            initial = Fraction(1)
-            if config.profile_weights and p in config.profile_weights:
-                initial = as_fraction(config.profile_weights[p])
-            weights.setdefault(p, initial)
+            weights.setdefault(p, Fraction(1))
         # keep a small floor so no profile starves permanently
         draw_weights = [max(float(weights[p]), 0.01) for p in profiles]
         round_rules = set()
@@ -265,12 +257,11 @@ def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
         # saturation over threshold-eligible rules: candidates that can
         # never be stored should not block length growth forever
         sat = saturation(eligible, stored_before)
-        ema = config.effort_smoothing
         for p in profiles:
             if samples_by_profile[p] == 0:
                 continue
             yield_p = Fraction(new_by_profile[p], samples_by_profile[p])
-            weights[p] = (1 - ema) * weights[p] + ema * yield_p
+            weights[p] = (weights[p] + yield_p) / 2
         length_cap = MAX_BODY_ATOMS if config.max_length is None else config.max_length
         if sat >= config.saturation_threshold and max_len < length_cap:
             max_len += 1

@@ -65,7 +65,7 @@ def _write_lines(path, lines):
 def _load_graph(path):
     try:
         return load_triples(path)
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError):
         print(f"error: cannot read input: {path}", file=sys.stderr)
         return None
     except GraphParseError as exc:
@@ -254,9 +254,16 @@ def _cmd_predict(args) -> int:
                     print(f"error: rules file line {lineno}: expected 7 fields", file=sys.stderr)
                     return 2
                 rule = parse_rule(parts[0], kg)
-                conf = Fraction(parts[conf_col].split("=", 1)[0])
+                try:
+                    conf = Fraction(parts[conf_col].split("=", 1)[0])
+                except (ValueError, ZeroDivisionError):
+                    conf = None
+                if conf is None or not 0 <= conf <= 1:
+                    msg = f"rules file line {lineno}: confidence is not a fraction in [0, 1]"
+                    print(f"error: {msg}", file=sys.stderr)
+                    return 2
                 scored.append((rule, conf))
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError):
         print(f"error: cannot read rules: {args.rules}", file=sys.stderr)
         return 2
     except RuleParseError as exc:

@@ -1,8 +1,8 @@
 """Knowledge graph store: interning, fact indexes, atom matching, subgraphs.
 
-Facts are (subject, relation, object) triples of interned ids.  All
-indexes are built once at construction from the sorted fact list, so
-iteration order is deterministic for a given label input set.
+Facts are (subject, relation, object) triples of interned ids.  They are
+sorted once at construction, and every index is built from that sorted
+list, so iteration order is deterministic for a given label input set.
 """
 
 from __future__ import annotations
@@ -82,25 +82,22 @@ class KnowledgeGraph:
         self.entities = entities
         self.relations = relations
         self.facts = frozenset(facts)
+        self._fact_list = tuple(sorted(self.facts))
         n_rel = len(relations)
         self._pairs = [[] for _ in range(n_rel)]
-        self._pair_sets = [set() for _ in range(n_rel)]
         self._sub_to_obj = [dict() for _ in range(n_rel)]
         self._obj_to_sub = [dict() for _ in range(n_rel)]
         self._out_edges = {}
         self._in_edges = {}
-        for s, r, o in sorted(self.facts):
+        for s, r, o in self._fact_list:
             self._pairs[r].append((s, o))
-            self._pair_sets[r].add((s, o))
             self._sub_to_obj[r].setdefault(s, []).append(o)
             self._obj_to_sub[r].setdefault(o, []).append(s)
             self._out_edges.setdefault(s, []).append((r, o))
             self._in_edges.setdefault(o, []).append((r, s))
-        # relation sets incident to each entity, used for refinement pruning
-        self._out_rels = {e: frozenset(r for r, _ in es) for e, es in self._out_edges.items()}
-        self._in_rels = {e: frozenset(r for r, _ in es) for e, es in self._in_edges.items()}
+        # membership sets hold the tuples of _pairs, not copies of them
+        self._pair_sets = [set(pairs) for pairs in self._pairs]
         self._pair_rels = None
-        self._fact_list = None
 
     @classmethod
     def from_label_triples(cls, triples):
@@ -146,39 +143,37 @@ class KnowledgeGraph:
     def in_edges(self, e: int):
         return self._in_edges.get(e, ())
 
-    def out_relations(self, e: int):
-        return self._out_rels.get(e, frozenset())
-
-    def in_relations(self, e: int):
-        return self._in_rels.get(e, frozenset())
-
     def relations_linking(self, s: int, o: int):
         """Relations r with (s, r, o) a fact; index built on first use."""
         if self._pair_rels is None:
+            # keyed by the tuples of _pairs; relations ascend within a key
             idx = {}
-            for fs, fr, fo in sorted(self.facts):
-                idx.setdefault((fs, fo), []).append(fr)
-            self._pair_rels = {k: tuple(v) for k, v in idx.items()}
+            for r, pairs in enumerate(self._pairs):
+                for pair in pairs:
+                    idx[pair] = idx.get(pair, ()) + (r,)
+            self._pair_rels = idx
         return self._pair_rels.get((s, o), ())
 
     def fact_list(self):
         """All facts as a sorted tuple; stable sampling base."""
-        if self._fact_list is None:
-            self._fact_list = tuple(sorted(self.facts))
         return self._fact_list
 
     def iter_label_triples(self):
-        for s, r, o in sorted(self.facts):
+        for s, r, o in self._fact_list:
             yield self.entities.label(s), self.relations.label(r), self.entities.label(o)
 
     # --- operations ----------------------------------------------------
 
+    def relation_id(self, relation) -> int:
+        """Id of a relation given by label or by id; ValueError when the
+        label is unknown or the id lies outside [0, len(relations))."""
+        rid = self.relations.get(relation) if isinstance(relation, str) else relation
+        if rid is None or not 0 <= rid < len(self.relations):
+            raise ValueError(f"unknown relation: {relation!r}")
+        return rid
+
     def relation_stats(self, r) -> RelationStats:
-        if isinstance(r, str):
-            rid = self.relations.get(r)
-            if rid is None:
-                raise ValueError(f"unknown relation: {r!r}")
-            r = rid
+        r = self.relation_id(r)
         if not self._pairs[r]:
             raise ValueError("undefined functionality: relation has no facts")
         return RelationStats(
@@ -195,7 +190,7 @@ class KnowledgeGraph:
         whose constants never occur yields nothing.
         """
         base = {} if bindings is None else bindings
-        if atom.relation >= len(self.relations):
+        if not 0 <= atom.relation < len(self.relations):
             return
         for ext in _ext_candidates(self, _compile(atom), base):
             merged = dict(base)
@@ -208,11 +203,7 @@ class KnowledgeGraph:
         interners are shared with the parent graph."""
         if depth < 2:
             raise ValueError("subgraph depth must be at least 2")
-        if isinstance(head_relation, str):
-            rid = self.relations.get(head_relation)
-            if rid is None:
-                raise ValueError(f"unknown relation: {head_relation!r}")
-            head_relation = rid
+        head_relation = self.relation_id(head_relation)
         layer = set()
         for s, o in self._pairs[head_relation]:
             layer.add(s)

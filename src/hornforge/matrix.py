@@ -111,11 +111,7 @@ _adjacency_cache = weakref.WeakKeyDictionary()
 
 def adjacency_matrix(kg, relation) -> SparseBoolMatrix:
     """Boolean subject-object adjacency of one relation, cached per graph."""
-    if isinstance(relation, str):
-        rid = kg.relations.get(relation)
-        if rid is None:
-            raise ValueError(f"unknown relation: {relation!r}")
-        relation = rid
+    relation = kg.relation_id(relation)
     per_kg = _adjacency_cache.get(kg)
     if per_kg is None:
         per_kg = _adjacency_cache[kg] = {}

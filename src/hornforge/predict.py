@@ -72,11 +72,7 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
         raise ValueError("top_k must be at least 1")
     if (subject is None) == (object is None):
         raise ValueError("exactly one of subject and object must be given")
-    if isinstance(relation, str):
-        rid = kg.relations.get(relation)
-        if rid is None:
-            raise ValueError(f"unknown relation: {relation!r}")
-        relation = rid
+    relation = kg.relation_id(relation)
     known_val = subject if subject is not None else object
     candidates = {}
     for rule, conf in scored_rules:
@@ -112,11 +108,7 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
 def generate_negatives(kg: KnowledgeGraph, relation) -> frozenset:
     """Local closed-world negatives: for each subject with at least one fact
     of the relation, pair it with every other object the relation takes."""
-    if isinstance(relation, str):
-        rid = kg.relations.get(relation)
-        if rid is None:
-            raise ValueError(f"unknown relation: {relation!r}")
-        relation = rid
+    relation = kg.relation_id(relation)
     all_objects = kg.objects(relation)
     out = set()
     for s in kg.subjects(relation):

@@ -188,7 +188,7 @@ def test_criterion_6_anti_monotone_support_under_refinement():
         cases = 0
         for _ in range(20):
             kg = random_kg(rng)
-            frontier = [(r, support(kg, r)) for r in seed_rules(kg, config)]
+            frontier = [(r, support(kg, r)) for r in seed_rules(kg)]
             for depth in range(2):
                 deeper = []
                 for parent, parent_supp in frontier:

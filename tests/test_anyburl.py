@@ -48,10 +48,9 @@ class TestAnytimeConfig:
         assert cfg.seed == 0
 
     def test_fraction_coercion(self):
-        cfg = AnytimeConfig(min_confidence=0.25, saturation_threshold="4/5", effort_smoothing=0.5)
+        cfg = AnytimeConfig(min_confidence=0.25, saturation_threshold="4/5")
         assert cfg.min_confidence == Fraction(1, 4)
         assert cfg.saturation_threshold == Fraction(4, 5)
-        assert cfg.effort_smoothing == Fraction(1, 2)
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -64,14 +63,13 @@ class TestAnytimeConfig:
             (dict(saturation_threshold=0), "saturation_threshold must lie"),
             (dict(saturation_threshold=Fraction(11, 10)), "saturation_threshold must lie"),
             (dict(start_length=0), "start_length must be at least 1"),
-            (dict(effort_smoothing=0), "effort_smoothing must lie"),
+            (dict(round_ms=-5), "round_ms must be at least 1"),
             (dict(start_length=9, max_length=None), "start_length must be at most 8"),
             (dict(max_length=9), "max_length must be at most 8"),
             (dict(max_length=0), "max_length must be at least 1"),
             (dict(round_samples=0), "round_samples must be at least 1"),
             (dict(round_samples=-3), "round_samples must be at least 1"),
             (dict(round_ms=0), "round_ms must be at least 1"),
-            (dict(round_ms=-5), "round_ms must be at least 1"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -274,11 +272,6 @@ class TestMineAnytime:
 
     def test_time_budget_mode(self, sample_kg):
         out = mine_anytime(sample_kg, AnytimeConfig(seed=1, rounds=1, round_ms=30))
-        assert all(m.metrics.support >= 2 for m in out)
-
-    def test_initial_profile_weights(self, sample_kg):
-        cfg = AnytimeConfig(seed=42, rounds=2, profile_weights={PathProfile(1, True): Fraction(5)})
-        out = mine_anytime(sample_kg, cfg)
         assert all(m.metrics.support >= 2 for m in out)
 
     def test_empty_graph(self):

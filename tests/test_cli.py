@@ -126,6 +126,21 @@ class TestMine:
         assert "line 1" in err
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["mine", "verify", "stats"])
+    def test_directory_input(self, command, tmp_path):
+        code, _, err = cap([command, "--input", str(tmp_path)])
+        assert code == 2
+        assert "cannot read input" in err
+
+    def test_non_utf8_input(self, tmp_path):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes("Zo\xeb\tspeaks\tGerman\n".encode("latin-1"))
+        code, _, err = cap(["mine", "--input", str(bad)])
+        assert code == 2
+        assert "cannot read input" in err
+
+
 class TestVerify:
     def test_fixture_agrees(self):
         code, out, _ = cap(["verify", "--input", str(FIXTURE)])
@@ -236,6 +251,29 @@ class TestPredict:
         )
         assert code == 2
         assert "cannot read rules" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+    def test_unreadable_rules_file(self, tmp_path, kind):
+        path = tmp_path
+        if kind == "non_utf8":
+            path = tmp_path / "latin1.tsv"
+            path.write_bytes((cli.HEADER + "\nZo\xeb\n").encode("latin-1"))
+        code, _, err = cap(
+            ["predict", "--input", str(FIXTURE), "--rules", str(path), "--query", "speaks(?, German)"]
+        )
+        assert code == 2
+        assert "cannot read rules" in err
+
+    @pytest.mark.parametrize("cell", ["bogus", "1/0", "-1/2=-0.500000", "3/2=1.500000"])
+    def test_rules_file_bad_confidence(self, tmp_path, cell):
+        row = ["nationality(?a, ?b) => speaks(?a, ?b)", "1", "1/3", "0.3", "1/1=1.0", cell, "subject"]
+        bad = tmp_path / "conf.tsv"
+        bad.write_text(cli.HEADER + "\n" + "\t".join(row) + "\n", encoding="utf-8")
+        code, out, err = cap(
+            ["predict", "--input", str(FIXTURE), "--rules", str(bad), "--query", "speaks(?, German)"]
+        )
+        assert (code, out) == (2, "")
+        assert "rules file line 2: confidence" in err
 
     def test_rules_file_without_header(self, tmp_path):
         bad = tmp_path / "norules.tsv"

@@ -1,11 +1,26 @@
+import importlib.util
 import io
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from hornforge import Atom, GraphParseError, KnowledgeGraph, dump_triples, load_triples, support, var
+from hornforge import (
+    Atom,
+    GraphParseError,
+    KnowledgeGraph,
+    adjacency_matrix,
+    complete,
+    dump_triples,
+    generate_negatives,
+    load_triples,
+    support,
+    var,
+)
 from oracles import all_chain_rules, brute_support, random_kg
+
+_KG_MEMORY = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "kg_memory.py"
 
 
 class TestLoading:
@@ -86,8 +101,8 @@ class TestIndexes:
         speaks = sample_kg.relations.id("speaks")
         germany = sample_kg.entities.id("Germany")
         assert list(sample_kg.match_atom(Atom(speaks, var(0), var(1)), {0: germany})) == []
-        unknown = len(sample_kg.relations)
-        assert list(sample_kg.match_atom(Atom(unknown, var(0), var(1)))) == []
+        for unknown in (-1, len(sample_kg.relations)):
+            assert list(sample_kg.match_atom(Atom(unknown, var(0), var(1)))) == []
 
     def test_has_pair_and_fact_count(self, sample_kg):
         speaks = sample_kg.relations.id("speaks")
@@ -98,6 +113,46 @@ class TestIndexes:
         assert not sample_kg.has_pair(
             speaks, sample_kg.entities.id("A._Merkel"), sample_kg.entities.id("German")
         )
+
+    def test_iteration_order(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            kg = random_kg(rng, max_entities=10, max_relations=5, max_facts=60)
+            facts = sorted(kg.facts)
+            assert kg.fact_list() == tuple(facts)
+            entities, relations = range(len(kg.entities)), range(len(kg.relations))
+            for r in relations:
+                assert kg.pairs(r) == [(s, o) for s, rr, o in facts if rr == r]
+                for e in entities:
+                    assert list(kg.objects_of(r, e)) == [o for s, rr, o in facts if (s, rr) == (e, r)]
+                    assert list(kg.subjects_of(r, e)) == sorted(s for s, rr, o in facts if (rr, o) == (r, e))
+            for e in entities:
+                assert list(kg.out_edges(e)) == sorted((r, o) for s, r, o in facts if s == e)
+                # in fact order: by subject, then relation
+                assert list(kg.in_edges(e)) == [(r, s) for s, r, o in facts if o == e]
+                for o in entities:
+                    assert kg.relations_linking(e, o) == tuple(r for r in relations if kg.has_pair(r, e, o))
+
+
+class TestRelationId:
+    ENTRY_POINTS = {
+        "relation_stats": lambda kg, r: kg.relation_stats(r),
+        "select_relevant_subgraph": lambda kg, r: kg.select_relevant_subgraph(r, 2),
+        "complete": lambda kg, r: complete(kg, [], r, subject=0),
+        "generate_negatives": generate_negatives,
+        "adjacency_matrix": adjacency_matrix,
+    }
+
+    def test_label_or_id(self, sample_kg):
+        speaks = sample_kg.relations.id("speaks")
+        assert sample_kg.relation_id("speaks") == speaks
+        assert sample_kg.relation_id(speaks) == speaks
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_out_of_range_id_rejected(self, sample_kg, entry):
+        for bad in (-1, len(sample_kg.relations)):
+            with pytest.raises(ValueError, match="unknown relation"):
+                self.ENTRY_POINTS[entry](sample_kg, bad)
 
 
 class TestRelationStats:
@@ -206,6 +261,17 @@ class TestAdjacency:
         speaks = sample_kg.relations.id("speaks")
         sub = sample_kg.select_relevant_subgraph(speaks, 2)
         assert adjacency_matrix(sub, sample_kg.relations.id("gender")).nnz == 0
+
+
+class TestMemory:
+    def test_graph_bytes_per_fact(self):
+        # tracemalloc on Python 3.11: 599 B/fact with one (s, o) tuple per
+        # fact shared by the pair indexes, 858 with copies in each
+        spec = importlib.util.spec_from_file_location("kg_memory", _KG_MEMORY)
+        kg_memory = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(kg_memory)
+        _, with_lazy = kg_memory.graph_memory(20_000, 2_000, 20)
+        assert with_lazy / 20_000 < 700
 
 
 class TestImmutability:

@@ -4,7 +4,7 @@ execute predictions, and print relation statistics.
 All tabular output is deterministic given (input, flags, seed): rows are
 canonically ordered and ratios print as exact fraction plus 6-digit
 decimal.  Exit codes: 0 success, 1 verification divergence, 2 unreadable
-or malformed input, 64 bad flag/query combinations.
+or malformed input or unwritable output, 64 bad flag/query combinations.
 """
 
 from __future__ import annotations
@@ -53,18 +53,25 @@ def _rule_row(kg, mined) -> str:
     )
 
 
-def _write_lines(path, lines):
+def _write_lines(path, lines, status=0) -> int:
+    """Writes the lines and returns status, or 2 when path is unwritable."""
     text = "\n".join(lines) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return status
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        return status
+    except OSError:
+        print(f"error: cannot write output: {path}", file=sys.stderr)
+        return 2
 
 
 def _load_graph(path):
     try:
-        return load_triples(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_triples(fh)
     except (OSError, UnicodeDecodeError):
         print(f"error: cannot read input: {path}", file=sys.stderr)
         return None
@@ -122,10 +129,7 @@ def build_parser():
     return parser
 
 
-def _cmd_mine(args) -> int:
-    kg = _load_graph(args.input)
-    if kg is None:
-        return 2
+def _cmd_mine(kg, args) -> int:
     try:
         if args.miner == "amie":
             config = MinerConfig(
@@ -155,8 +159,7 @@ def _cmd_mine(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    _write_lines(args.output, [HEADER] + [_rule_row(kg, m) for m in mined])
-    return 0
+    return _write_lines(args.output, [HEADER] + [_rule_row(kg, m) for m in mined])
 
 
 def _chain_rules(kg, head_rel, max_len):
@@ -174,10 +177,7 @@ def _chain_rules(kg, head_rel, max_len):
             yield Rule(Atom(head_rel, var(0), var(1)), tuple(body))
 
 
-def _cmd_verify(args) -> int:
-    kg = _load_graph(args.input)
-    if kg is None:
-        return 2
+def _cmd_verify(kg, args) -> int:
     heads = range(len(kg.relations))
     if args.head is not None:
         rid = kg.relations.get(args.head)
@@ -206,17 +206,13 @@ def _cmd_verify(args) -> int:
                     f"index support={i_supp} size={i_size}, matrix support={m_supp} size={m_size}"
                 )
     lines = [f"verified {checked} chain rules: {'FAIL' if bad else 'OK'}"] + bad
-    _write_lines(args.output, lines)
-    return 1 if bad else 0
+    return _write_lines(args.output, lines, 1 if bad else 0)
 
 
 _QUERY_RE = re.compile(r"\s*([^\s(),!][^(),!]*?)\s*\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)\s*")
 
 
-def _cmd_predict(args) -> int:
-    kg = _load_graph(args.input)
-    if kg is None:
-        return 2
+def _cmd_predict(kg, args) -> int:
     m = _QUERY_RE.fullmatch(args.query)
     if m is None:
         print(f"error: malformed query: {args.query!r}", file=sys.stderr)
@@ -275,14 +271,10 @@ def _cmd_predict(args) -> int:
     lines = ["rank\tcandidate\tconf_vector"]
     for i, (ent, vec) in enumerate(ranked, start=1):
         lines.append(f"{i}\t{kg.entities.label(ent)}\t{','.join(_dec(c) for c in vec)}")
-    _write_lines(args.output, lines)
-    return 0
+    return _write_lines(args.output, lines)
 
 
-def _cmd_stats(args) -> int:
-    kg = _load_graph(args.input)
-    if kg is None:
-        return 2
+def _cmd_stats(kg, args) -> int:
     lines = [
         f"# entities={len(kg.entities)} relations={len(kg.relations)} facts={len(kg.facts)}",
         "relation\tfacts\tdistinct_subjects\tdistinct_objects\tfunctionality\tinverse_functionality",
@@ -301,19 +293,21 @@ def _cmd_stats(args) -> int:
                 ]
             )
         )
-    _write_lines(args.output, lines)
-    return 0
+    return _write_lines(args.output, lines)
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "mine":
-        return _cmd_mine(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "predict":
-        return _cmd_predict(args)
-    return _cmd_stats(args)
+    kg = _load_graph(args.input)
+    if kg is None:
+        return 2
+    command = {
+        "mine": _cmd_mine,
+        "verify": _cmd_verify,
+        "predict": _cmd_predict,
+        "stats": _cmd_stats,
+    }[args.command]
+    return command(kg, args)
 
 
 def main():

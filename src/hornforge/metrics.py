@@ -7,10 +7,12 @@ do the joining: `_satisfiable` answers whether a conjunction has a
 solution under a binding, and `projections` lists the distinct
 projections of its solutions onto chosen variables.  The generic
 denominators, rule application in predict.py and the top-down miner's
-witness values all go through `projections`; short chain shapes have
-index fast paths besides.  The matrix oracle in matrix.py recomputes the
-same quantities for chain rules by a separate route and must always
-agree.
+witness values all go through `projections`.  Index fast paths cover
+hot shapes besides: support of a body of at most two variable-only atoms
+reads one probe record per atom (see "support fast paths"), and both
+denominators of a one- or two-atom chain read the subject/object
+indexes.  The matrix oracle in matrix.py recomputes the same quantities
+for chain rules by a separate route and must always agree.
 """
 
 from __future__ import annotations
@@ -179,115 +181,75 @@ def _bind_head_fact(head, s, o):
 # Candidate evaluation visits every head fact once per rule, so the per-fact
 # constant dominates mining time.  Bodies of at most two all-variable atoms,
 # each touching at most one variable outside a two-variable head, reduce to
-# direct index probes; they get dedicated loops below (reading the graph's
-# index dicts, since a method call per fact costs more than the probe).
+# index probes, with one probe record per body atom: (z, slots, idx, z_subj,
+# ps).  z is the atom's variable outside the head (None for a closed atom),
+# slots the head-fact position it reads (a closed atom's subject and object
+# positions), idx what those values are looked up in (the graph's index
+# dict from a head value to z's candidates, or a closed atom's pair set),
+# z_subj whether z is the atom's subject, and ps the relation's pair set.
+# Two atoms sharing z count a head fact when some z joins both: walk the
+# shorter candidate list, probe the other atom's pair set, stop at the
+# first hit.  Otherwise each atom is one membership test per head fact.
 # Everything else falls back to the generic join.
-
-
-def _pair_check(ps, si, oi):
-    def chk(f):
-        return (f[si], f[oi]) in ps
-
-    return chk
-
-
-def _member_check(idx, bi):
-    def chk(f):
-        return f[bi] in idx
-
-    return chk
 
 
 def _support_fast(kg, rule):
     """Support by per-fact index probes, or None for shapes not covered."""
-    body = rule.body
-    if len(body) > 2:
-        return None
     hs, ho = rule.head.subject, rule.head.object
-    if not (hs.is_var and ho.is_var) or hs.index == ho.index:
+    if len(rule.body) > 2 or not (hs.is_var and ho.is_var) or hs.index == ho.index:
         return None
-    a_var, b_var = hs.index, ho.index
-    pairs = kg.pairs(rule.head.relation)
-    if not body:
-        return len(pairs)
-
-    # per atom: (relation, free var, bound fact slot, free-at-subject, s slot, o slot)
-    plans = []
-    for atom in body:
+    slot_of = {hs.index: 0, ho.index: 1}
+    probes = []
+    for atom in rule.body:
         ts, to = atom.subject, atom.object
         if not (ts.is_var and to.is_var):
             return None
-        s_free = ts.index != a_var and ts.index != b_var
-        o_free = to.index != a_var and to.index != b_var
-        if s_free and o_free:
-            return None
-        if s_free or o_free:
-            free_v = ts.index if s_free else to.index
-            bound_var = to.index if s_free else ts.index
-            bi = 0 if bound_var == a_var else 1
-            plans.append((atom.relation, free_v, bi, s_free, None, None))
+        si, oi = slot_of.get(ts.index), slot_of.get(to.index)
+        r, ps = atom.relation, kg._pair_sets[atom.relation]
+        if si is not None and oi is not None:
+            probes.append((None, (si, oi), ps, None, ps))
+        elif si is not None:
+            probes.append((to.index, si, kg._sub_to_obj[r], False, ps))
+        elif oi is not None:
+            probes.append((ts.index, oi, kg._obj_to_sub[r], True, ps))
         else:
-            si = 0 if ts.index == a_var else 1
-            oi = 0 if to.index == a_var else 1
-            plans.append((atom.relation, None, None, None, si, oi))
+            return None
+    pairs = kg.pairs(rule.head.relation)
 
-    if len(plans) == 1:
-        r, free_v, bi, z_subj, si, oi = plans[0]
-        if free_v is None:
-            ps = kg._pair_sets[r]
-            return sum(1 for f in pairs if (f[si], f[oi]) in ps)
-        idx = kg._obj_to_sub[r] if z_subj else kg._sub_to_obj[r]
-        return sum(1 for f in pairs if f[bi] in idx)
-
-    (r0, fv0, bi0, zs0, si0, oi0), (r1, fv1, bi1, zs1, si1, oi1) = plans
-    if fv0 is not None and fv0 == fv1:
-        # one shared variable outside the head: existence of a join witness,
-        # iterating the smaller candidate list and probing the other atom
-        cidx0 = kg._obj_to_sub[r0] if zs0 else kg._sub_to_obj[r0]
-        cidx1 = kg._obj_to_sub[r1] if zs1 else kg._sub_to_obj[r1]
-        ps0, ps1 = kg._pair_sets[r0], kg._pair_sets[r1]
+    if len(probes) == 2 and probes[0][0] == probes[1][0] is not None:
+        (_, b0, idx0, zs0, ps0), (_, b1, idx1, zs1, ps1) = probes
         count = 0
         for f in pairs:
-            v0 = f[bi0]
-            c0 = cidx0.get(v0)
+            c0 = idx0.get(f[b0])
             if c0 is None:
                 continue
-            v1 = f[bi1]
-            c1 = cidx1.get(v1)
+            c1 = idx1.get(f[b1])
             if c1 is None:
                 continue
             if len(c0) <= len(c1):
-                if zs1:
-                    for z in c0:
-                        if (z, v1) in ps1:
-                            count += 1
-                            break
-                else:
-                    for z in c0:
-                        if (v1, z) in ps1:
-                            count += 1
-                            break
+                zs, cand, v, ps = zs1, c0, f[b1], ps1
             else:
-                if zs0:
-                    for z in c1:
-                        if (z, v0) in ps0:
-                            count += 1
-                            break
-                else:
-                    for z in c1:
-                        if (v0, z) in ps0:
-                            count += 1
-                            break
+                zs, cand, v, ps = zs0, c1, f[b0], ps0
+            if zs:
+                for z in cand:
+                    if (z, v) in ps:
+                        count += 1
+                        break
+            else:
+                for z in cand:
+                    if (v, z) in ps:
+                        count += 1
+                        break
         return count
 
-    checks = []
-    for r, free_v, bi, z_subj, si, oi in plans:
-        if free_v is None:
-            checks.append(_pair_check(kg._pair_sets[r], si, oi))
+    hits = pairs
+    for z, slots, idx, _, _ in probes:
+        if z is None:
+            si, oi = slots
+            hits = [f for f in hits if (f[si], f[oi]) in idx]
         else:
-            checks.append(_member_check(kg._obj_to_sub[r] if z_subj else kg._sub_to_obj[r], bi))
-    c0, c1 = checks
-    return sum(1 for f in pairs if c0(f) and c1(f))
+            hits = [f for f in hits if f[slots] in idx]
+    return len(hits)
 
 
 # --- denominator fast paths -------------------------------------------------
@@ -366,29 +328,16 @@ def support(kg: KnowledgeGraph, rule: Rule, object_identity: bool = False) -> in
         if fast is not None:
             return fast
     catoms = tuple(_compile(a) for a in rule.body)
-    head = rule.head
-    r = head.relation
-    # a constant in the head leaves only the head facts it indexes
-    if not head.subject.is_var:
-        c = head.subject.index
-        head_facts = ((c, o) for o in kg.objects_of(r, c))
-    elif not head.object.is_var:
-        c = head.object.index
-        head_facts = ((s, c) for s in kg.subjects_of(r, c))
-    else:
-        head_facts = kg.pairs(r)
     count = 0
-    for s, o in head_facts:
-        binding = _bind_head_fact(head, s, o)
-        if binding is None:
-            continue
+    # head bindings straight off the index: constants and a repeated head
+    # variable leave only the head facts that match
+    for ext in _ext_candidates(kg, _compile(rule.head), {}):
+        binding = dict(ext)
+        used = None
         if object_identity:
-            vals = set(binding.values())
-            if len(vals) != len(binding):
+            used = set(binding.values())
+            if len(used) != len(binding):
                 continue
-            used = vals
-        else:
-            used = None
         if _satisfiable(kg, catoms, binding, used):
             count += 1
     return count
@@ -401,24 +350,30 @@ def head_coverage(kg, rule, object_identity=False) -> Fraction:
     return Fraction(support(kg, rule, object_identity), n)
 
 
-def _check_denominator_preconditions(rule):
-    if not rule.body:
-        raise ValueError("confidence undefined for empty body")
-    if not is_connected(rule):
-        raise ValueError("disconnected rule")
-    if not is_safe(rule):
-        raise ValueError("unsafe rule: every head variable must occur in the body")
+def _body_size(kg, rule, direction, object_identity, cutoff):
+    """Distinct head substitutions whose body is satisfiable, restricted by
+    the PCA filter in `direction` unless it is None.  The chain fast path
+    covers what it can; None when cutoff is given and exceeded."""
+    steps = None if object_identity else _chain_steps(rule)
+    if steps is None:
+        if not rule.body:
+            raise ValueError("confidence undefined for empty body")
+        if not is_connected(rule):
+            raise ValueError("disconnected rule")
+        if not is_safe(rule):
+            raise ValueError("unsafe rule: every head variable must occur in the body")
+    chosen = None if direction is None else pca_direction(kg, rule, direction)
+    if steps is not None:
+        return _chain_denominator(kg, rule.head.relation, steps, chosen, cutoff)
+    keep = None if chosen is None else _pca_filter(kg, rule.head, chosen)
+    sols = projections(kg, rule.body, rule.head_variables(), None, object_identity, cutoff, keep)
+    return None if sols is None else len(sols)
 
 
 def cwa_body_size(kg, rule, object_identity=False, cutoff=None):
     """Distinct head substitutions whose body is satisfiable (closed-world
     denominator).  None when cutoff is given and exceeded."""
-    steps = None if object_identity else _chain_steps(rule)
-    if steps is not None:
-        return _chain_denominator(kg, rule.head.relation, steps, None, cutoff)
-    _check_denominator_preconditions(rule)
-    sols = projections(kg, rule.body, rule.head_variables(), None, object_identity, cutoff)
-    return None if sols is None else len(sols)
+    return _body_size(kg, rule, None, object_identity, cutoff)
 
 
 def pca_direction(kg, rule, direction: str = "auto") -> str:
@@ -451,15 +406,7 @@ def pca_body_size(kg, rule, direction="auto", object_identity=False, cutoff=None
     """Distinct head substitutions with the body satisfiable and some known
     head fact sharing the functional argument (partial-completeness
     denominator).  None when cutoff is given and exceeded."""
-    steps = None if object_identity else _chain_steps(rule)
-    if steps is None:
-        _check_denominator_preconditions(rule)
-    chosen = pca_direction(kg, rule, direction)
-    if steps is not None:
-        return _chain_denominator(kg, rule.head.relation, steps, chosen, cutoff)
-    keep = _pca_filter(kg, rule.head, chosen)
-    sols = projections(kg, rule.body, rule.head_variables(), None, object_identity, cutoff, keep)
-    return None if sols is None else len(sols)
+    return _body_size(kg, rule, direction, object_identity, cutoff)
 
 
 def std_confidence(kg, rule, object_identity=False) -> Fraction:

@@ -133,12 +133,43 @@ class TestUnreadableInput:
         assert code == 2
         assert "cannot read input" in err
 
+    @pytest.mark.parametrize("path", ["", "no\tsuch\tfile"])
+    def test_path_never_read_as_tsv_text(self, path):
+        # an empty path or one with tabs names a file; it is never parsed as TSV
+        code, out, err = cap(["stats", "--input", path])
+        assert (code, out) == (2, "")
+        assert "cannot read input" in err
+
+    def test_path_with_tabs_is_a_file(self, tmp_path):
+        path = tmp_path / "sample\tkg.tsv"
+        path.write_bytes(FIXTURE.read_bytes())
+        assert cap(["stats", "--input", str(path)]) == (0, STATS_GOLDEN, "")
+
     def test_non_utf8_input(self, tmp_path):
         bad = tmp_path / "latin1.tsv"
         bad.write_bytes("Zo\xeb\tspeaks\tGerman\n".encode("latin-1"))
         code, _, err = cap(["mine", "--input", str(bad)])
         assert code == 2
         assert "cannot read input" in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine"],
+            ["verify", "--head", "speaks"],
+            ["predict", "--query", "speaks(A._Merkel, ?)"],
+            ["stats"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_directory_output(self, argv, rules_file, tmp_path):
+        if argv[0] == "predict":
+            argv = argv + ["--rules", str(rules_file)]
+        code, out, err = cap(argv + ["--input", str(FIXTURE), "--output", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write output: {tmp_path}\n"
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import pytest
 from hornforge import (
     Atom,
     ExampleSets,
+    KnowledgeGraph,
     LazyOutcome,
     Rule,
     as_fraction,
@@ -30,8 +31,8 @@ from hornforge import (
     support,
     var,
 )
-from hornforge.metrics import gated_metrics
-from oracles import brute_covered, brute_metrics, random_kg, all_chain_rules
+from hornforge.metrics import _support_fast, gated_metrics
+from oracles import all_chain_rules, brute_covered, brute_metrics, brute_support, random_kg
 
 
 def ent(kg, label):
@@ -143,6 +144,53 @@ class TestSupport:
         r = parse_rule("r(?x, ?y) => r(?x, ?y)", kg)
         assert support(kg, r) == 2
         assert support(kg, r, object_identity=True) == 1
+
+
+def _probe_graph(p_density, q_density, seed):
+    """Random p, q and h facts over 8 entities; the denser of p and q holds
+    the longer candidate lists."""
+    rng = random.Random(seed)
+    facts = [("e0", "h", "e1"), ("e0", "p", "e0"), ("e0", "q", "e0")]
+    for s, o in itertools.product(range(8), repeat=2):
+        for r, density in (("h", 0.4), ("p", p_density), ("q", q_density)):
+            if rng.random() < density:
+                facts.append((f"e{s}", r, f"e{o}"))
+    return KnowledgeGraph.from_label_triples(facts)
+
+
+class TestSupportFastPath:
+    """Every body shape _support_fast covers against brute force, on graphs
+    where either body atom holds the shorter candidate lists."""
+
+    GRAPHS = [_probe_graph(0.6, 0.1, 1), _probe_graph(0.1, 0.6, 2), _probe_graph(0.3, 0.3, 3)]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # one closed atom, both orientations
+            "p(?a, ?b)",
+            "p(?b, ?a)",
+            # one dangling atom, both orientations, on either head slot
+            "p(?a, ?c)",
+            "p(?c, ?a)",
+            "p(?b, ?c)",
+            "p(?c, ?b)",
+            # two independent probes
+            "p(?a, ?b) & q(?b, ?a)",
+            "p(?a, ?b) & q(?c, ?b)",
+            "p(?c, ?a) & q(?b, ?d)",
+            # a shared variable outside the head, all four orientation pairs
+            "p(?a, ?c) & q(?c, ?b)",
+            "p(?a, ?c) & q(?b, ?c)",
+            "p(?c, ?a) & q(?c, ?b)",
+            "p(?c, ?a) & q(?b, ?c)",
+        ],
+    )
+    def test_matches_brute_force(self, body):
+        for kg in self.GRAPHS:
+            rule = parse_rule(f"{body} => h(?a, ?b)", kg)
+            assert _support_fast(kg, rule) is not None
+            assert support(kg, rule) == brute_support(kg, rule)
 
 
 class TestHeadCoverage:

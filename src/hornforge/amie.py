@@ -9,12 +9,13 @@ are byte-identical across runs.
 
 Before a parent is refined, one witness sweep reads its solutions and
 keeps only the dangling and closing atoms some solution realizes, so
-children without support are never built.  The rows come from direct
-index joins for rules of one or two all-variable atoms without object
-identity, and from `metrics.projections` onto the variables the sweep
-reads otherwise.  Its one overrun point is past _WITNESS_LIMIT rows:
-the sweep then prunes nothing for that parent, which only lets
-zero-support children through, so the mined rules do not change.
+children without support are never built.  The rows come from
+`KnowledgeGraph.index_join` for rules of one or two all-variable atoms
+without object identity, and from `metrics.projections` onto the
+variables the sweep reads otherwise.  Its one overrun point is past
+_WITNESS_LIMIT rows: the sweep then prunes nothing for that parent,
+which only lets zero-support children through, so the mined rules do
+not change.
 """
 
 from __future__ import annotations
@@ -179,40 +180,6 @@ def refine(kg, rule: Rule, config: MinerConfig):
     return sorted(set(children), key=sort_key)
 
 
-def _index_join(kg, atoms):
-    """(variables, rows) of a rule of one or two all-variable atoms that
-    share a variable, each atom over two distinct variables: every solution
-    as a tuple of values in `variables` order, joined straight off the fact
-    indexes and yielded lazily.  None for any other shape."""
-    if len(atoms) > 2 or any(
-        not (a.subject.is_var and a.object.is_var) or a.subject.index == a.object.index
-        for a in atoms
-    ):
-        return None
-    a0, a1 = atoms[0], atoms[-1]
-    if kg.fact_count(a1.relation) < kg.fact_count(a0.relation):
-        a0, a1 = a1, a0  # iterate the smaller fact list
-    cols = (a0.subject.index, a0.object.index)
-    rows = kg.pairs(a0.relation)
-    if len(atoms) == 1:
-        return cols, rows
-    inner = (a1.subject.index, a1.object.index)
-    shared = [v for v in inner if v in cols]
-    if len(shared) == 2:
-        # the inner atom adds no variable: filter outer facts by a pair probe
-        ips = kg._pair_sets[a1.relation]
-        s_slot, o_slot = cols.index(inner[0]), cols.index(inner[1])
-        return cols, (row for row in rows if (row[s_slot], row[o_slot]) in ips)
-    if not shared:
-        return None
-    m_slot = cols.index(shared[0])
-    if inner[0] == shared[0]:
-        cidx, w = kg._sub_to_obj[a1.relation], inner[1]
-    else:
-        cidx, w = kg._obj_to_sub[a1.relation], inner[0]
-    return cols + (w,), (row + (wv,) for row in rows for wv in cidx.get(row[m_slot], ()))
-
-
 def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     """(closing, dangling) viability sets from the rule's solution witnesses.
 
@@ -221,8 +188,9 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     children outside these sets are skipped without evaluation.  Atoms whose
     child could never reach a closed rule are not collected either, mirroring
     the _closable cut the refinement operators apply.  The witness rows come
-    from _index_join when the rule's shape allows it and object identity is
-    off, and otherwise from `projections` onto the variables the sweep reads.
+    from `kg.index_join` when the rule's shape allows it and object identity
+    is off, and otherwise from `projections` onto the variables the sweep
+    reads.
     Returns (None, None) when the rows overrun _WITNESS_LIMIT.
     """
     vs = rule.variables()
@@ -232,7 +200,7 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     dangling_vars = [v for v in vs if len(opens - {v}) + 1 <= budget]
     if not pairs_needed and not dangling_vars:
         return frozenset(), frozenset()
-    joined = None if config.object_identity else _index_join(kg, rule.atoms)
+    joined = None if config.object_identity else kg.index_join(rule.atoms)
     if joined is None:
         cols = sorted({v for pair in pairs_needed for v in pair}.union(dangling_vars))
         rows = projections(kg, rule.atoms, cols, None, config.object_identity, _WITNESS_LIMIT)

@@ -197,6 +197,39 @@ class KnowledgeGraph:
             merged.update(ext)
             yield merged
 
+    def index_join(self, atoms):
+        """(variables, rows) of a conjunction of one or two all-variable
+        atoms that share a variable, each atom over two distinct variables:
+        every solution as a tuple of values in `variables` order, joined
+        straight off the fact indexes and yielded lazily.  None for any
+        other shape."""
+        if not 1 <= len(atoms) <= 2:
+            return None
+        for a in atoms:
+            if not (a.subject.is_var and a.object.is_var) or a.subject.index == a.object.index:
+                return None
+        a0, a1 = atoms[0], atoms[-1]
+        if len(self._pairs[a1.relation]) < len(self._pairs[a0.relation]):
+            a0, a1 = a1, a0  # iterate the smaller fact list
+        cols = (a0.subject.index, a0.object.index)
+        rows = self._pairs[a0.relation]
+        if len(atoms) == 1:
+            return cols, rows
+        s1, o1 = a1.subject.index, a1.object.index
+        if s1 in cols and o1 in cols:
+            # the inner atom adds no variable: filter outer facts by a pair probe
+            ips = self._pair_sets[a1.relation]
+            s_slot, o_slot = cols.index(s1), cols.index(o1)
+            return cols, (row for row in rows if (row[s_slot], row[o_slot]) in ips)
+        if s1 in cols:
+            cidx, m, w = self._sub_to_obj[a1.relation], s1, o1
+        elif o1 in cols:
+            cidx, m, w = self._obj_to_sub[a1.relation], o1, s1
+        else:
+            return None
+        m_slot = cols.index(m)
+        return cols + (w,), (row + (wv,) for row in rows for wv in cidx.get(row[m_slot], ()))
+
     def select_relevant_subgraph(self, head_relation, depth: int) -> "KnowledgeGraph":
         """Facts induced by entities within depth-1 relation hops of the
         head relation's endpoints.  Layer 0 holds the endpoints themselves;
@@ -224,14 +257,12 @@ class KnowledgeGraph:
         return KnowledgeGraph(self.entities, self.relations, facts)
 
 
-def load_triples(source, fmt: str = "tsv") -> KnowledgeGraph:
+def load_triples(source) -> KnowledgeGraph:
     """Read a graph from a path, file object, or string of TSV lines.
 
     Each non-empty, non-comment line must be subject<TAB>relation<TAB>object.
     Malformed lines raise GraphParseError with a 1-based line number.
     """
-    if fmt != "tsv":
-        raise ValueError(f"unsupported format: {fmt!r}")
     if isinstance(source, os.PathLike):
         source = os.fspath(source)
     if isinstance(source, str) and source and "\n" not in source and "\t" not in source:

@@ -10,15 +10,17 @@ denominators, rule application in predict.py and the top-down miner's
 witness values all go through `projections`.  Index fast paths cover
 hot shapes besides: support of a body of at most two variable-only atoms
 reads one probe record per atom (see "support fast paths"), and both
-denominators of a one- or two-atom chain read the subject/object
-indexes.  The matrix oracle in matrix.py recomputes the same quantities
-for chain rules by a separate route and must always agree.
+denominators of a body that `KnowledgeGraph.index_join` covers count the
+head-variable tuples of its rows.  The matrix oracle in matrix.py
+recomputes the same quantities for chain rules by a separate route and
+must always agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .kg import KnowledgeGraph, _compile, _ext_candidates
 from .rules import Rule, is_connected, is_safe
@@ -108,8 +110,9 @@ def projections(kg, atoms, out_vars, binding=None, object_identity=False, cutoff
     first and stops branching once every out variable is bound: a tuple
     seen before is dropped before its existence check, and the remaining
     atoms need only one solution.  keep, when given, is called with the
-    binding once per satisfiable tuple and drops the tuple when it returns
-    false.  Returns a list, or None when cutoff is given and exceeded.
+    projected tuple once per distinct satisfiable tuple and drops it when
+    it returns false.  Returns a list, or None when cutoff is given and
+    exceeded.
     """
     binding = dict(binding or {})
     used = set(binding.values()) if object_identity else None
@@ -125,7 +128,7 @@ def projections(kg, atoms, out_vars, binding=None, object_identity=False, cutoff
             if proj in seen or not _satisfiable(kg, remaining, binding, used):
                 return
             seen.add(proj)
-            if keep is not None and not keep(binding):
+            if keep is not None and not keep(proj):
                 return
             found.append(proj)
             if cutoff is not None and len(found) > cutoff:
@@ -252,70 +255,6 @@ def _support_fast(kg, rule):
     return len(hits)
 
 
-# --- denominator fast paths -------------------------------------------------
-#
-# Both confidence denominators count distinct (head subject, head object)
-# projections of body solutions.  When the body is a chain of one or two
-# all-variable atoms walking from the head subject to the head object
-# (r(x, y) or r(y, x); r1 between x and z then r2 between z and y, each in
-# either orientation), the projections read straight off the subject/object
-# indexes, with the PCA filter applied per projection.  object_identity and
-# every other body shape take the generic join in projections, which
-# test_random_rule_shapes and test_object_identity_routes_agree keep checked
-# against brute force.
-
-
-def _chain_steps(rule):
-    """(relation, inverted) per body atom from head subject to head object,
-    or None unless the rule is a one- or two-atom variable-only chain."""
-    hs, ho = rule.head.subject, rule.head.object
-    body = rule.body
-    if not (hs.is_var and ho.is_var) or hs.index == ho.index or not 1 <= len(body) <= 2:
-        return None
-    for atom in body:
-        if not (atom.subject.is_var and atom.object.is_var) or atom.subject == atom.object:
-            return None
-    cur = hs.index
-    remaining = list(body)
-    steps = []
-    while remaining:
-        matches = [a for a in remaining if cur in (a.subject.index, a.object.index)]
-        if len(matches) != 1:
-            return None
-        atom = matches[0]
-        inverted = atom.object.index == cur
-        steps.append((atom.relation, inverted))
-        cur = atom.subject.index if inverted else atom.object.index
-        remaining.remove(atom)
-    return steps if cur == ho.index else None
-
-
-def _chain_denominator(kg, head_relation, steps, chosen, cutoff):
-    """Distinct (x, y) projections of a chain body; the PCA filter keeps
-    those whose chosen head argument has a known head fact.  None when
-    cutoff is given and exceeded."""
-    def step_index(r, inverted):
-        return kg._obj_to_sub[r] if inverted else kg._sub_to_obj[r]
-
-    keep_x = kg._sub_to_obj[head_relation] if chosen == "subject" else None
-    keep_y = kg._obj_to_sub[head_relation] if chosen == "object" else None
-    first = step_index(*steps[0])
-    second = step_index(*steps[1]) if len(steps) == 2 else None
-    count = 0
-    for x, ys in first.items():
-        if keep_x is not None and x not in keep_x:
-            continue
-        if second is not None:
-            reached = set()
-            for z in ys:
-                reached.update(second.get(z, ()))
-            ys = reached
-        count += len(ys) if keep_y is None else sum(1 for y in ys if y in keep_y)
-        if cutoff is not None and count > cutoff:
-            return None
-    return count
-
-
 # --- core measures --------------------------------------------------------
 
 
@@ -351,11 +290,16 @@ def head_coverage(kg, rule, object_identity=False) -> Fraction:
 
 
 def _body_size(kg, rule, direction, object_identity, cutoff):
-    """Distinct head substitutions whose body is satisfiable, restricted by
-    the PCA filter in `direction` unless it is None.  The chain fast path
-    covers what it can; None when cutoff is given and exceeded."""
-    steps = None if object_identity else _chain_steps(rule)
-    if steps is None:
+    """Distinct head-variable tuples whose body is satisfiable, restricted
+    by the PCA filter in `direction` unless it is None.  A body that
+    kg.index_join covers and that binds every head variable is counted off
+    the join's rows; None when cutoff is given and exceeded."""
+    hvars = rule.head_variables()
+    joined = None if object_identity or not hvars else kg.index_join(rule.body)
+    if joined is not None and hvars[0] in joined[0] and hvars[-1] in joined[0]:
+        cols, rows = joined  # the rule is non-empty, safe and connected
+    else:
+        rows = None
         if not rule.body:
             raise ValueError("confidence undefined for empty body")
         if not is_connected(rule):
@@ -363,11 +307,22 @@ def _body_size(kg, rule, direction, object_identity, cutoff):
         if not is_safe(rule):
             raise ValueError("unsafe rule: every head variable must occur in the body")
     chosen = None if direction is None else pca_direction(kg, rule, direction)
-    if steps is not None:
-        return _chain_denominator(kg, rule.head.relation, steps, chosen, cutoff)
-    keep = None if chosen is None else _pca_filter(kg, rule.head, chosen)
-    sols = projections(kg, rule.body, rule.head_variables(), None, object_identity, cutoff, keep)
-    return None if sols is None else len(sols)
+    keep = None if chosen is None else _pca_filter(kg, rule.head, chosen, hvars)
+    if rows is None:
+        sols = projections(kg, rule.body, hvars, None, object_identity, cutoff, keep)
+        return None if sols is None else len(sols)
+    # a lone head variable is read twice: its (v, v) tuples count as (v,)
+    projs = map(itemgetter(cols.index(hvars[0]), cols.index(hvars[-1])), rows)
+    if keep is not None:
+        projs = filter(keep, projs)
+    if cutoff is None:
+        return len(set(projs))
+    seen = set()
+    for proj in projs:
+        seen.add(proj)
+        if len(seen) > cutoff:
+            return None
+    return len(seen)
 
 
 def cwa_body_size(kg, rule, object_identity=False, cutoff=None):
@@ -385,21 +340,20 @@ def pca_direction(kg, rule, direction: str = "auto") -> str:
     if kg.fact_count(r) == 0:
         return "subject"
     stats = kg.relation_stats(r)
+    # functionality against inverse functionality over the same fact count;
     # ties favour the subject side
-    return "subject" if stats.functionality >= stats.inverse_functionality else "object"
+    return "subject" if stats.distinct_subjects >= stats.distinct_objects else "object"
 
 
-def _pca_filter(kg, head, chosen: str):
-    r = head.relation
-    if chosen == "subject":
-        t = head.subject
-        if t.is_var:
-            return lambda b: kg.has_subject(r, b[t.index])
-        return lambda b: kg.has_subject(r, t.index)
-    t = head.object
+def _pca_filter(kg, head, chosen: str, hvars):
+    """Predicate on a head-variable tuple (in `hvars` order): true when some
+    head fact shares its `chosen` argument."""
+    r, t = head.relation, (head.subject if chosen == "subject" else head.object)
+    known = kg.has_subject if chosen == "subject" else kg.has_object
     if t.is_var:
-        return lambda b: kg.has_object(r, b[t.index])
-    return lambda b: kg.has_object(r, t.index)
+        i = hvars.index(t.index)
+        return lambda proj: known(r, proj[i])
+    return lambda proj: known(r, t.index)
 
 
 def pca_body_size(kg, rule, direction="auto", object_identity=False, cutoff=None):

@@ -194,9 +194,6 @@ def canonicalize(rule: Rule) -> Rule:
         if best_key is None or key < best_key:
             best_key = key
             best = _renumber(rule.head, perm, mapping)
-    if best is None:
-        mapping = _numbering_for(rule.head, ())
-        best = _renumber(rule.head, (), mapping)
     return best
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import io
+import itertools
 import pathlib
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hornforge import (
     KnowledgeGraph,
     adjacency_matrix,
     complete,
+    const,
     dump_triples,
     generate_negatives,
     load_triples,
@@ -132,6 +134,47 @@ class TestIndexes:
                 assert list(kg.in_edges(e)) == [(r, s) for s, r, o in facts if o == e]
                 for o in entities:
                     assert kg.relations_linking(e, o) == tuple(r for r in relations if kg.has_pair(r, e, o))
+
+
+    def test_index_join_rows_are_the_solutions(self):
+        a, b, c = var(0), var(1), var(2)
+        accepted = [
+            [(0, a, b)],
+            [(0, b, a)],
+            [(0, a, c), (1, c, b)],
+            [(0, a, c), (1, b, c)],
+            [(0, c, a), (1, c, b)],
+            [(0, c, a), (1, b, c)],
+            [(0, a, b), (1, a, c)],
+            [(0, a, b), (1, b, a)],
+        ]
+        rejected = [
+            [],
+            [(0, a, b), (1, b, c), (0, c, a)],
+            [(0, a, const(0))],
+            [(0, a, a)],
+            [(0, a, b), (1, c, var(3))],
+        ]
+        rng = random.Random(31)
+        for _ in range(20):
+            kg = random_kg(rng, max_entities=6, max_relations=2, max_facts=30)
+            entities, n_rel = range(len(kg.entities)), len(kg.relations)
+            for shape in accepted:
+                atoms = [Atom(r % n_rel, s, o) for r, s, o in shape]
+                cols, rows = kg.index_join(atoms)
+                rows = [frozenset(zip(cols, row)) for row in rows]
+                vs = sorted({v for atom in atoms for v in atom.variables()})
+                assert sorted(cols) == vs
+                subs = [dict(zip(vs, c)) for c in itertools.product(entities, repeat=len(vs))]
+                brute = {
+                    frozenset(sub.items())
+                    for sub in subs
+                    if all(kg.has_pair(t.relation, sub[t.subject.index], sub[t.object.index])
+                           for t in atoms)
+                }
+                assert len(rows) == len(set(rows)) and set(rows) == brute
+            for shape in rejected:
+                assert kg.index_join([Atom(r % n_rel, s, o) for r, s, o in shape]) is None
 
 
 class TestRelationId:

@@ -3,7 +3,8 @@
 The two check routes stay independent of the index route: matrix.py
 takes only a number conversion from metrics.py, and the brute-force
 oracles take nothing from it.  Modules share no private names beyond the
-atom-matching helpers that metrics.py builds its joins on.
+atom-matching helpers that metrics.py builds its joins on, and only kg.py
+and metrics.py (for its support probes) read the graph's private indexes.
 """
 
 import ast
@@ -72,3 +73,19 @@ def test_oracles_take_nothing_from_metrics():
         and (module.endswith("metrics") or name in metrics_names or name == "metrics")
     ]
     assert taken == []
+
+
+def test_graph_internals_read_only_in_kg_and_metrics():
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("kg", "metrics"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "kg"
+                and node.attr.startswith("_")
+            ):
+                reads.append(f"{path.stem} reads kg.{node.attr}")
+    assert reads == []

@@ -31,6 +31,7 @@ from hornforge import (
     support,
     var,
 )
+from hornforge import metrics
 from hornforge.metrics import _support_fast, gated_metrics
 from oracles import all_chain_rules, brute_covered, brute_metrics, brute_support, random_kg
 
@@ -192,6 +193,49 @@ class TestSupportFastPath:
             assert _support_fast(kg, rule) is not None
             assert support(kg, rule) == brute_support(kg, rule)
 
+
+class TestDenominatorIndexPath:
+    """Both denominators of every body shape KnowledgeGraph.index_join
+    covers, with a constant and a repeated variable in the head besides,
+    against brute force; the generic join must not run."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # one atom, both orientations
+            "p(?a, ?b) => h(?a, ?b)",
+            "p(?b, ?a) => h(?a, ?b)",
+            # two-atom chains, all four orientations
+            "p(?a, ?c) & q(?c, ?b) => h(?a, ?b)",
+            "p(?a, ?c) & q(?b, ?c) => h(?a, ?b)",
+            "p(?c, ?a) & q(?c, ?b) => h(?a, ?b)",
+            "p(?c, ?a) & q(?b, ?c) => h(?a, ?b)",
+            # a fork and a closed pair
+            "p(?a, ?b) & q(?a, ?c) => h(?a, ?b)",
+            "p(?a, ?b) & q(?b, ?a) => h(?a, ?b)",
+            # a head with a constant, and a head with a repeated variable
+            "p(?a, ?c) & q(?c, ?b) => h(e0, ?b)",
+            "p(?a, ?c) & q(?c, ?a) => h(?a, ?a)",
+        ],
+    )
+    def test_matches_brute_force(self, text, monkeypatch):
+        def generic_join(*args, **kwargs):
+            raise AssertionError("the denominator took the generic join")
+
+        monkeypatch.setattr(metrics, "projections", generic_join)
+        for kg in TestSupportFastPath.GRAPHS:
+            rule = parse_rule(text, kg)
+            brute = brute_metrics(kg, rule)
+            sizes = [
+                (lambda c: cwa_body_size(kg, rule, cutoff=c), brute.cwa_body_size),
+                (lambda c: pca_body_size(kg, rule, "subject", cutoff=c), brute.pca_subject_size),
+                (lambda c: pca_body_size(kg, rule, "object", cutoff=c), brute.pca_object_size),
+            ]
+            for size, expected in sizes:
+                assert expected > 0
+                assert size(None) == expected
+                assert size(expected) == expected
+                assert size(expected - 1) is None
 
 class TestHeadCoverage:
     def test_running_example(self, sample_kg, rule_r):
@@ -463,9 +507,9 @@ class TestProjections:
     def test_keep_runs_once_per_satisfiable_tuple(self, sample_kg, rule_r):
         seen = []
 
-        def keep(binding):
-            seen.append((binding[0], binding[1]))
-            return binding[0] != ent(sample_kg, "E._Macron")
+        def keep(proj):
+            seen.append(proj)
+            return proj[0] != ent(sample_kg, "E._Macron")
 
         got = projections(sample_kg, rule_r.body, (0, 1), keep=keep)
         assert len(seen) == len(set(seen))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 _EMPTY = np.empty(0, np.int64)
+_EMPTY.flags.writeable = False  # shared by every empty frontier_reach result
 
 
 def spgemm_bool(indptr_a, cols_a, indptr_b, cols_b):
@@ -17,15 +18,8 @@ def spgemm_bool(indptr_a, cols_a, indptr_b, cols_b):
     indptr_c = np.zeros(n_rows + 1, np.int64)
     rows = []
     for i in range(n_rows):
-        js = cols_a[indptr_a[i] : indptr_a[i + 1]]
-        if js.size:
-            merged = np.unique(
-                np.concatenate([cols_b[indptr_b[j] : indptr_b[j + 1]] for j in js])
-            )
-        else:
-            merged = _EMPTY
-        rows.append(merged)
-        indptr_c[i + 1] = indptr_c[i] + merged.size
+        rows.append(frontier_reach(indptr_b, cols_b, cols_a[indptr_a[i] : indptr_a[i + 1]]))
+        indptr_c[i + 1] = indptr_c[i] + rows[-1].size
     cols_c = np.concatenate(rows) if rows else _EMPTY.copy()
     return indptr_c, cols_c.astype(np.int64, copy=False)
 
@@ -36,8 +30,8 @@ def intersect_count(a, b) -> int:
 
 
 def frontier_reach(indptr, cols, frontier):
-    """Sorted unique columns reachable from the given row set."""
+    """Sorted unique columns reachable from the given row set; a shared
+    read-only array when there are none."""
     if frontier.size == 0:
-        return _EMPTY.copy()
-    chunks = [cols[indptr[i] : indptr[i + 1]] for i in frontier]
-    return np.unique(np.concatenate(chunks)).astype(np.int64, copy=False)
+        return _EMPTY
+    return np.unique(np.concatenate([cols[indptr[i] : indptr[i + 1]] for i in frontier]))

@@ -86,6 +86,8 @@ class AnytimeConfig:
             raise ValueError("max_length must be at least 1")
         if self.max_length is not None and self.max_length > MAX_BODY_ATOMS:
             raise ValueError(f"max_length must be at most {MAX_BODY_ATOMS}")
+        if self.max_length is not None and self.start_length > self.max_length:
+            raise ValueError("start_length must be at most max_length")
 
 
 def sample_path(kg: KnowledgeGraph, profile: PathProfile, rng, object_identity=True):
@@ -204,8 +206,6 @@ def mine_anytime(kg: KnowledgeGraph, config: AnytimeConfig = None):
     stored = {}
     weights = {}
     max_len = config.start_length
-    if config.max_length is not None:
-        max_len = min(max_len, config.max_length)
 
     for _ in range(config.rounds):
         profiles = _profiles_up_to(max_len)

@@ -3,6 +3,8 @@
 Facts are (subject, relation, object) triples of interned ids.  They are
 sorted once at construction, and every index is built from that sorted
 list, so iteration order is deterministic for a given label input set.
+Only this module reads the index layout; its two short joins,
+`index_join` and `semijoin_count`, read each atom through one `_probe`.
 """
 
 from __future__ import annotations
@@ -172,6 +174,14 @@ class KnowledgeGraph:
             raise ValueError(f"unknown relation: {relation!r}")
         return rid
 
+    def entity_id(self, entity) -> int:
+        """Id of an entity given by label or by id; ValueError when the
+        label is unknown or the id lies outside [0, len(entities))."""
+        eid = self.entities.get(entity) if isinstance(entity, str) else entity
+        if eid is None or not 0 <= eid < len(self.entities):
+            raise ValueError(f"unknown entity: {entity!r}")
+        return eid
+
     def relation_stats(self, r) -> RelationStats:
         r = self.relation_id(r)
         if not self._pairs[r]:
@@ -197,6 +207,25 @@ class KnowledgeGraph:
             merged.update(ext)
             yield merged
 
+    def _probe(self, atom, cols):
+        """(new, at, idx): how an all-variable atom over two distinct
+        variables is read once the variables in `cols` are bound; None for
+        any other atom or one binding nothing in `cols`.  Both bound: new is
+        None, at their two slots (subject first), idx the pair set.  One
+        bound: new is the other variable, at the bound one's slot, idx the
+        dict from its value to new's values."""
+        s, o = atom.subject, atom.object
+        if not (s.is_var and o.is_var) or s.index == o.index:
+            return None
+        s, o, r = s.index, o.index, atom.relation
+        if s in cols:
+            if o in cols:
+                return None, (cols.index(s), cols.index(o)), self._pair_sets[r]
+            return o, cols.index(s), self._sub_to_obj[r]
+        if o in cols:
+            return s, cols.index(o), self._obj_to_sub[r]
+        return None
+
     def index_join(self, atoms):
         """(variables, rows) of a conjunction of one or two all-variable
         atoms that share a variable, each atom over two distinct variables:
@@ -205,30 +234,78 @@ class KnowledgeGraph:
         other shape."""
         if not 1 <= len(atoms) <= 2:
             return None
-        for a in atoms:
-            if not (a.subject.is_var and a.object.is_var) or a.subject.index == a.object.index:
-                return None
         a0, a1 = atoms[0], atoms[-1]
         if len(self._pairs[a1.relation]) < len(self._pairs[a0.relation]):
             a0, a1 = a1, a0  # iterate the smaller fact list
         cols = (a0.subject.index, a0.object.index)
+        if self._probe(a0, cols) is None:  # not over two distinct variables
+            return None
         rows = self._pairs[a0.relation]
         if len(atoms) == 1:
             return cols, rows
-        s1, o1 = a1.subject.index, a1.object.index
-        if s1 in cols and o1 in cols:
-            # the inner atom adds no variable: filter outer facts by a pair probe
-            ips = self._pair_sets[a1.relation]
-            s_slot, o_slot = cols.index(s1), cols.index(o1)
-            return cols, (row for row in rows if (row[s_slot], row[o_slot]) in ips)
-        if s1 in cols:
-            cidx, m, w = self._sub_to_obj[a1.relation], s1, o1
-        elif o1 in cols:
-            cidx, m, w = self._obj_to_sub[a1.relation], o1, s1
-        else:
+        probe = self._probe(a1, cols)
+        if probe is None:
             return None
-        m_slot = cols.index(m)
-        return cols + (w,), (row + (wv,) for row in rows for wv in cidx.get(row[m_slot], ()))
+        new, at, idx = probe
+        if new is None:
+            # the second atom adds no variable: filter the first's facts by a pair probe
+            s_slot, o_slot = at
+            return cols, (row for row in rows if (row[s_slot], row[o_slot]) in idx)
+        return cols + (new,), (row + (v,) for row in rows for v in idx.get(row[at], ()))
+
+    def semijoin_count(self, head, body):
+        """Support off the fact indexes: the head facts for which the body
+        has a solution.  None unless the head is over two distinct variables
+        and `_probe` reads each of at most two body atoms against them.  Two
+        atoms adding the same variable walk the shorter candidate list per
+        head fact and probe the other atom's pair set up to the first hit;
+        otherwise each atom is one membership test per head fact."""
+        hs, ho = head.subject, head.object
+        if len(body) > 2 or not (hs.is_var and ho.is_var) or hs.index == ho.index:
+            return None
+        cols = (hs.index, ho.index)
+        probes = [self._probe(atom, cols) for atom in body]
+        if None in probes:
+            return None
+        pairs = self._pairs[head.relation]
+
+        if len(probes) == 2 and probes[0][0] == probes[1][0] is not None:
+            (shared, b0, idx0), (_, b1, idx1) = probes
+            a0, a1 = body
+            ps0, zs0 = self._pair_sets[a0.relation], a0.subject.index == shared
+            ps1, zs1 = self._pair_sets[a1.relation], a1.subject.index == shared
+            count = 0
+            for f in pairs:
+                c0 = idx0.get(f[b0])
+                if c0 is None:
+                    continue
+                c1 = idx1.get(f[b1])
+                if c1 is None:
+                    continue
+                if len(c0) <= len(c1):
+                    zs, cand, v, ps = zs1, c0, f[b1], ps1
+                else:
+                    zs, cand, v, ps = zs0, c1, f[b0], ps0
+                if zs:
+                    for z in cand:
+                        if (z, v) in ps:
+                            count += 1
+                            break
+                else:
+                    for z in cand:
+                        if (v, z) in ps:
+                            count += 1
+                            break
+            return count
+
+        hits = pairs
+        for new, at, idx in probes:
+            if new is None:
+                si, oi = at
+                hits = [f for f in hits if (f[si], f[oi]) in idx]
+            else:
+                hits = [f for f in hits if f[at] in idx]
+        return len(hits)
 
     def select_relevant_subgraph(self, head_relation, depth: int) -> "KnowledgeGraph":
         """Facts induced by entities within depth-1 relation hops of the

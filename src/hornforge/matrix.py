@@ -225,22 +225,11 @@ class EntityVector:
         return arr
 
 
-def _entity_id(kg, x) -> int:
-    if isinstance(x, str):
-        eid = kg.entities.get(x)
-        if eid is None:
-            raise ValueError(f"unknown entity: {x!r}")
-        return eid
-    if not 0 <= x < len(kg.entities):
-        raise ValueError(f"unknown entity id: {x}")
-    return x
-
-
 def tensorlog_infer(kg, rule: Rule, x) -> EntityVector:
     """Entities reachable from x through the rule body: one-hot vector
     pushed through the chain of adjacency matrices."""
     n = len(kg.entities)
-    frontier = np.array([_entity_id(kg, x)], np.int64)
+    frontier = np.array([kg.entity_id(x)], np.int64)
     for r, inv in chain_orientations(rule):
         m = adjacency_matrix(kg, r)
         if inv:

@@ -7,13 +7,12 @@ do the joining: `_satisfiable` answers whether a conjunction has a
 solution under a binding, and `projections` lists the distinct
 projections of its solutions onto chosen variables.  The generic
 denominators, rule application in predict.py and the top-down miner's
-witness values all go through `projections`.  Index fast paths cover
-hot shapes besides: support of a body of at most two variable-only atoms
-reads one probe record per atom (see "support fast paths"), and both
-denominators of a body that `KnowledgeGraph.index_join` covers count the
-head-variable tuples of its rows.  The matrix oracle in matrix.py
-recomputes the same quantities for chain rules by a separate route and
-must always agree.
+witness values all go through `projections`.  The graph's own index joins
+cover hot shapes besides: support of a body of at most two variable-only
+atoms is `KnowledgeGraph.semijoin_count`, and both denominators of a body
+that `KnowledgeGraph.index_join` covers count the head-variable tuples of
+its rows.  The matrix oracle in matrix.py recomputes the same quantities
+for chain rules by a separate route and must always agree.
 """
 
 from __future__ import annotations
@@ -179,93 +178,17 @@ def _bind_head_fact(head, s, o):
     return binding
 
 
-# --- support fast paths -----------------------------------------------------
-#
-# Candidate evaluation visits every head fact once per rule, so the per-fact
-# constant dominates mining time.  Bodies of at most two all-variable atoms,
-# each touching at most one variable outside a two-variable head, reduce to
-# index probes, with one probe record per body atom: (z, slots, idx, z_subj,
-# ps).  z is the atom's variable outside the head (None for a closed atom),
-# slots the head-fact position it reads (a closed atom's subject and object
-# positions), idx what those values are looked up in (the graph's index
-# dict from a head value to z's candidates, or a closed atom's pair set),
-# z_subj whether z is the atom's subject, and ps the relation's pair set.
-# Two atoms sharing z count a head fact when some z joins both: walk the
-# shorter candidate list, probe the other atom's pair set, stop at the
-# first hit.  Otherwise each atom is one membership test per head fact.
-# Everything else falls back to the generic join.
-
-
-def _support_fast(kg, rule):
-    """Support by per-fact index probes, or None for shapes not covered."""
-    hs, ho = rule.head.subject, rule.head.object
-    if len(rule.body) > 2 or not (hs.is_var and ho.is_var) or hs.index == ho.index:
-        return None
-    slot_of = {hs.index: 0, ho.index: 1}
-    probes = []
-    for atom in rule.body:
-        ts, to = atom.subject, atom.object
-        if not (ts.is_var and to.is_var):
-            return None
-        si, oi = slot_of.get(ts.index), slot_of.get(to.index)
-        r, ps = atom.relation, kg._pair_sets[atom.relation]
-        if si is not None and oi is not None:
-            probes.append((None, (si, oi), ps, None, ps))
-        elif si is not None:
-            probes.append((to.index, si, kg._sub_to_obj[r], False, ps))
-        elif oi is not None:
-            probes.append((ts.index, oi, kg._obj_to_sub[r], True, ps))
-        else:
-            return None
-    pairs = kg.pairs(rule.head.relation)
-
-    if len(probes) == 2 and probes[0][0] == probes[1][0] is not None:
-        (_, b0, idx0, zs0, ps0), (_, b1, idx1, zs1, ps1) = probes
-        count = 0
-        for f in pairs:
-            c0 = idx0.get(f[b0])
-            if c0 is None:
-                continue
-            c1 = idx1.get(f[b1])
-            if c1 is None:
-                continue
-            if len(c0) <= len(c1):
-                zs, cand, v, ps = zs1, c0, f[b1], ps1
-            else:
-                zs, cand, v, ps = zs0, c1, f[b0], ps0
-            if zs:
-                for z in cand:
-                    if (z, v) in ps:
-                        count += 1
-                        break
-            else:
-                for z in cand:
-                    if (v, z) in ps:
-                        count += 1
-                        break
-        return count
-
-    hits = pairs
-    for z, slots, idx, _, _ in probes:
-        if z is None:
-            si, oi = slots
-            hits = [f for f in hits if (f[si], f[oi]) in idx]
-        else:
-            hits = [f for f in hits if f[slots] in idx]
-    return len(hits)
-
-
 # --- core measures --------------------------------------------------------
 
 
 def support(kg: KnowledgeGraph, rule: Rule, object_identity: bool = False) -> int:
     """Distinct head substitutions with the head a fact and the body satisfiable."""
+    if not object_identity:
+        fast = kg.semijoin_count(rule.head, rule.body)
+        if fast is not None:
+            return fast  # each body atom holds a head variable: the rule is connected
     if not is_connected(rule):
         raise ValueError("disconnected rule")
-    if not object_identity:
-        fast = _support_fast(kg, rule)
-        if fast is not None:
-            return fast
     catoms = tuple(_compile(a) for a in rule.body)
     count = 0
     # head bindings straight off the index: constants and a repeated head

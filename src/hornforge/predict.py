@@ -73,7 +73,7 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
     if (subject is None) == (object is None):
         raise ValueError("exactly one of subject and object must be given")
     relation = kg.relation_id(relation)
-    known_val = subject if subject is not None else object
+    known_val = kg.entity_id(subject if subject is not None else object)
     candidates = {}
     for rule, conf in scored_rules:
         if rule.head.relation != relation:

@@ -70,6 +70,7 @@ class TestAnytimeConfig:
             (dict(round_samples=0), "round_samples must be at least 1"),
             (dict(round_samples=-3), "round_samples must be at least 1"),
             (dict(round_ms=0), "round_ms must be at least 1"),
+            (dict(start_length=3, max_length=2), "start_length must be at most max_length"),
         ],
     )
     def test_validation(self, kwargs, match):

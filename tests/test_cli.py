@@ -95,6 +95,7 @@ class TestMine:
             ["--max-len", "10"],
             ["--miner", "anyburl", "--max-path-length", "9"],
             ["--miner", "anyburl", "--max-path-length", "0"],
+            ["--miner", "anyburl", "--start-length", "3", "--max-path-length", "2"],
             ["--miner", "anyburl", "--round-samples", "0"],
             ["--miner", "anyburl", "--round-samples", "-3"],
             ["--miner", "anyburl", "--round-ms", "0"],

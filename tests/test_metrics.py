@@ -32,7 +32,7 @@ from hornforge import (
     var,
 )
 from hornforge import metrics
-from hornforge.metrics import _support_fast, gated_metrics
+from hornforge.metrics import gated_metrics
 from oracles import all_chain_rules, brute_covered, brute_metrics, brute_support, random_kg
 
 
@@ -110,6 +110,9 @@ class TestSupport:
         )
         with pytest.raises(ValueError, match="disconnected rule"):
             support(sample_kg, r)
+        two = parse_rule("nationality(?a, ?b) & gender(?c, ?d) => speaks(?a, ?b)", sample_kg)
+        with pytest.raises(ValueError, match="disconnected rule"):
+            support(sample_kg, two)
 
     def test_unsafe_rule_still_has_support(self, sample_kg):
         # head facts bind every head variable, so support stays well-defined
@@ -160,8 +163,9 @@ def _probe_graph(p_density, q_density, seed):
 
 
 class TestSupportFastPath:
-    """Every body shape _support_fast covers against brute force, on graphs
-    where either body atom holds the shorter candidate lists."""
+    """Every body shape KnowledgeGraph.semijoin_count covers against brute
+    force, on graphs where either body atom holds the shorter candidate
+    lists, and the shapes it leaves to the generic join."""
 
     GRAPHS = [_probe_graph(0.6, 0.1, 1), _probe_graph(0.1, 0.6, 2), _probe_graph(0.3, 0.3, 3)]
 
@@ -190,7 +194,23 @@ class TestSupportFastPath:
     def test_matches_brute_force(self, body):
         for kg in self.GRAPHS:
             rule = parse_rule(f"{body} => h(?a, ?b)", kg)
-            assert _support_fast(kg, rule) is not None
+            assert kg.semijoin_count(rule.head, rule.body) is not None
+            assert support(kg, rule) == brute_support(kg, rule)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p(?a, e0) & q(?a, ?b) => h(?a, ?b)",  # a constant in a body atom
+            "p(?a, ?a) & q(?a, ?b) => h(?a, ?b)",  # a repeated-variable atom
+            "p(?a, ?c) & q(?c, ?d) & p(?d, ?b) => h(?a, ?b)",  # three atoms
+            "p(?a, ?c) & q(?c, ?b) => h(e0, ?b)",  # a head constant
+            "p(?a, ?c) & q(?c, ?a) => h(?a, ?a)",  # a repeated head variable
+        ],
+    )
+    def test_uncovered_shapes_take_generic_join(self, text):
+        for kg in self.GRAPHS:
+            rule = parse_rule(text, kg)
+            assert kg.semijoin_count(rule.head, rule.body) is None
             assert support(kg, rule) == brute_support(kg, rule)
 
 

@@ -182,6 +182,23 @@ class TestComplete:
         with pytest.raises(ValueError, match="unknown relation"):
             complete(sample_kg, [(rule_r, 1)], "bogus", subject=0)
 
+    def test_entity_label_query(self, sample_kg, rule_r):
+        merkel = sample_kg.entities.id("A._Merkel")
+        by_id = complete(sample_kg, [(rule_r, 1)], "speaks", subject=merkel)
+        assert by_id == [(sample_kg.entities.id("German"), (Fraction(1),))]
+        assert complete(sample_kg, [(rule_r, 1)], "speaks", subject="A._Merkel") == by_id
+        german = sample_kg.entities.id("German")
+        assert complete(sample_kg, [(rule_r, 1)], "speaks", object="German") == complete(
+            sample_kg, [(rule_r, 1)], "speaks", object=german
+        )
+
+    @pytest.mark.parametrize("entity", ["Narnia", -1, 10**6])
+    def test_unknown_entity(self, sample_kg, rule_r, entity):
+        with pytest.raises(ValueError, match="unknown entity"):
+            complete(sample_kg, [(rule_r, 1)], "speaks", subject=entity)
+        with pytest.raises(ValueError, match="unknown entity"):
+            complete(sample_kg, [(rule_r, 1)], "speaks", object=entity)
+
 
 class TestSelectRulesGreedy:
     def test_two_rules_cover_everything(self, sample_kg, rule_r, rule_r2, speaks_examples):

@@ -1,11 +1,18 @@
 """Top-down rule mining by operator refinement.
 
-Level-synchronous search: seed head atoms, refine with dangling /
-closing / instantiated atoms, gate expansion on head coverage, gate
-output on confidence with lazy denominator counting, and prune
-refinements of output ancestors that fail to strictly improve
-confidence (skyline).  All candidate ordering is canonical so results
-are byte-identical across runs.
+Level-synchronous search: level 0 is the seed head atoms; each level is
+evaluated, emitted and refined with dangling / closing / instantiated
+atoms.  Expansion is gated on head coverage, output on confidence with
+lazy denominator counting, and a rule that fails to strictly improve
+on the confidence of an emitted ancestor is dropped (skyline): the
+canonical forms `_ancestors` lists are looked up among the emitted
+rules.  All candidate ordering is canonical so results are
+byte-identical across runs.
+
+`_slots` is the one closability rule: the closing pairs, dangling and
+instantiable variables of a parent whose child can still close within
+`max_len`.  The operators build children only there and the sweep below
+reads only there.
 
 Before a parent is refined, one witness sweep reads its solutions and
 keeps only the dangling and closing atoms some solution realizes, so
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .kg import KnowledgeGraph
 from .metrics import (
@@ -103,51 +111,51 @@ def seed_rules(kg: KnowledgeGraph):
     return out
 
 
-def _closable(rule: Rule, max_len: int) -> bool:
-    """A single added atom can bind at most two open variables, so a child
-    whose open variables outnumber twice its remaining atom budget can never
-    reach a closed rule."""
-    return len(open_variables(rule)) <= 2 * (max_len - len(rule))
+def _slots(rule: Rule, max_len: int):
+    """(closing pairs, dangling variables, instantiable variables) of the
+    rule whose child can still close: one added atom binds at most two open
+    variables, so the child's open variables may number at most twice its
+    remaining atom budget."""
+    opens = frozenset(open_variables(rule))
+    budget = 2 * (max_len - len(rule) - 1)
+    vs = rule.variables()
+    pairs = [(a, b) for a in vs for b in vs if a != b and len(opens - {a, b}) <= budget]
+    dangling = [v for v in vs if len(opens - {v}) + 1 <= budget]
+    instantiable = [v for v in vs if len(opens - {v}) <= budget]
+    return pairs, dangling, instantiable
 
 
-def _children(rule: Rule, atoms, max_len: int):
+def _children(rule: Rule, atoms):
     """The children adding one of `atoms` (those not already in the rule):
-    canonical, deduplicated, cut by _closable, in canonical order."""
+    canonical, deduplicated, in canonical order."""
     children = {
         canonicalize(Rule(rule.head, rule.body + (atom,))) for atom in atoms if atom not in rule.atoms
     }
-    return sorted((c for c in children if _closable(c, max_len)), key=sort_key)
+    return sorted(children, key=sort_key)
 
 
 def refine_dangling(kg, rule: Rule, config: MinerConfig, viable=None):
     """Children extending the body with one fresh-variable atom."""
-    if len(rule) >= config.max_len:
-        return []
     fresh = var(max(rule.variables(), default=-1) + 1)
     atoms = [
         Atom(r, var(v), fresh) if subject_side else Atom(r, fresh, var(v))
-        for v in rule.variables()
+        for v in _slots(rule, config.max_len)[1]
         for r in range(len(kg.relations))
         for subject_side in (True, False)
         if viable is None or (r, v, subject_side) in viable
     ]
-    return _children(rule, atoms, config.max_len)
+    return _children(rule, atoms)
 
 
 def refine_closing(kg, rule: Rule, config: MinerConfig, viable=None):
     """Children extending the body with one atom over two existing variables."""
-    if len(rule) >= config.max_len:
-        return []
-    vs = rule.variables()
     atoms = [
         Atom(r, var(a), var(b))
-        for a in vs
-        for b in vs
-        if a != b
+        for a, b in _slots(rule, config.max_len)[0]
         for r in range(len(kg.relations))
         if viable is None or (r, a, b) in viable
     ]
-    return _children(rule, atoms, config.max_len)
+    return _children(rule, atoms)
 
 
 def refine_instantiated(kg, rule: Rule, config: MinerConfig):
@@ -158,16 +166,16 @@ def refine_instantiated(kg, rule: Rule, config: MinerConfig):
     listed on their own, so memory stays bounded by the distinct values
     rather than by the number of witnesses.
     """
-    if not config.enable_instantiation or len(rule) >= config.max_len:
+    if not config.enable_instantiation:
         return []
     atoms = set()
-    for v in rule.variables():
+    for v in _slots(rule, config.max_len)[2]:
         for (val,) in projections(kg, rule.atoms, (v,), None, config.object_identity):
             for r, o in kg.out_edges(val):
                 atoms.add(Atom(r, var(v), const(o)))
             for r, s in kg.in_edges(val):
                 atoms.add(Atom(r, const(s), var(v)))
-    return _children(rule, atoms, config.max_len)
+    return _children(rule, atoms)
 
 
 def refine(kg, rule: Rule, config: MinerConfig):
@@ -185,21 +193,14 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
 
     A closing atom r(a, b) or dangling atom on variable v can only yield a
     child with support > 0 if some witness already realizes it, so blind
-    children outside these sets are skipped without evaluation.  Atoms whose
-    child could never reach a closed rule are not collected either, mirroring
-    the _closable cut the refinement operators apply.  The witness rows come
-    from `kg.index_join` when the rule's shape allows it and object identity
-    is off, and otherwise from `projections` onto the variables the sweep
+    children outside these sets are skipped without evaluation.  Only the
+    slots of _slots are collected.  The witness rows come from
+    `kg.index_join` when the rule's shape allows it and object identity is
+    off, and otherwise from `projections` onto the variables the sweep
     reads.
     Returns (None, None) when the rows overrun _WITNESS_LIMIT.
     """
-    vs = rule.variables()
-    opens = frozenset(open_variables(rule))
-    budget = 2 * (config.max_len - len(rule) - 1)
-    pairs_needed = [(a, b) for a in vs for b in vs if a != b and len(opens - {a, b}) <= budget]
-    dangling_vars = [v for v in vs if len(opens - {v}) + 1 <= budget]
-    if not pairs_needed and not dangling_vars:
-        return frozenset(), frozenset()
+    pairs_needed, dangling_vars, _ = _slots(rule, config.max_len)
     joined = None if config.object_identity else kg.index_join(rule.atoms)
     if joined is None:
         cols = sorted({v for pair in pairs_needed for v in pair}.union(dangling_vars))
@@ -264,45 +265,17 @@ def _evaluate_candidate(kg, rule: Rule, config: MinerConfig) -> _Record:
     return rec
 
 
-def _unify_atom(a, c, mapping):
-    """Extend an injective var->var mapping so atom a becomes atom c."""
-    if a.relation != c.relation:
-        return None
-    mapping = dict(mapping)
-    for ta, tc in ((a.subject, c.subject), (a.object, c.object)):
-        if ta.is_var != tc.is_var:
-            return None
-        if not ta.is_var:
-            if ta.index != tc.index:
-                return None
-            continue
-        if ta.index in mapping:
-            if mapping[ta.index] != tc.index:
-                return None
-            continue
-        if tc.index in mapping.values():
-            return None
-        mapping[ta.index] = tc.index
-    return mapping
-
-
-def _embeds(anc: Rule, cand: Rule) -> bool:
-    """True when anc's body maps into cand's body under an injective variable
-    renaming that identifies the heads (anc is a mining ancestor of cand)."""
-    if anc.head.relation != cand.head.relation or len(anc.body) >= len(cand.body):
-        return False
-
-    def match(i, mapping):
-        if i == len(anc.body):
-            return True
-        for c in cand.body:
-            m2 = _unify_atom(anc.body[i], c, mapping)
-            if m2 is not None and match(i + 1, m2):
-                return True
-        return False
-
-    start = _unify_atom(anc.head, cand.head, {})
-    return start is not None and match(0, start)
+def _ancestors(rule: Rule):
+    """Canonical forms of the rule's head with each proper, non-empty part of
+    its body.  An injective renaming sends an ancestor's distinct body atoms
+    onto distinct atoms of the rule, so a canonical rule is an ancestor
+    exactly when it is among these."""
+    body = rule.body
+    return [
+        canonicalize(Rule(rule.head, part))
+        for k in range(1, len(body))
+        for part in combinations(body, k)
+    ]
 
 
 def mine(kg: KnowledgeGraph, config: MinerConfig = None):
@@ -311,42 +284,29 @@ def mine(kg: KnowledgeGraph, config: MinerConfig = None):
     rule text."""
     if config is None:
         config = MinerConfig()
-    seen = set()
-    output = []  # (rule, metrics, confidence)
-    seeds = seed_rules(kg)
-    seen.update(seeds)
-    frontier = [_evaluate_candidate(kg, s, config) for s in seeds]
-    frontier = [r for r in frontier if r.head_coverage >= config.min_head_coverage]
-    while frontier:
-        parents = [
-            rec
-            for rec in frontier
-            if len(rec.rule) < config.max_len
-            and not (config.enable_skyline and rec.closed and rec.confidence == Fraction(1))
-        ]
-        children = []
-        for rec in parents:
-            closing_viable, dangling_viable = _viable_refinements(kg, rec.rule, config)
-            kids = (
-                refine_dangling(kg, rec.rule, config, viable=dangling_viable)
-                + refine_closing(kg, rec.rule, config, viable=closing_viable)
-                + refine_instantiated(kg, rec.rule, config)
-            )
-            for child in kids:
-                if child not in seen:
-                    seen.add(child)
-                    children.append(child)
-        children.sort(key=sort_key)
+    emitted = {}  # rule -> (metrics, confidence), in emission order
+    children = seed_rules(kg)
+    while children:
         records = [_evaluate_candidate(kg, r, config) for r in children]
         for rec in records:
             if rec.metrics is None:
                 continue
-            blocked = config.enable_skyline and any(
-                rec.confidence <= anc_conf and _embeds(anc_rule, rec.rule)
-                for anc_rule, _m, anc_conf in output
-            )
-            if not blocked:
-                output.append((rec.rule, rec.metrics, rec.confidence))
-        frontier = [r for r in records if r.head_coverage >= config.min_head_coverage]
-    mined = [MinedRule(rule, metrics) for rule, metrics, _ in output]
+            # ancestors are shorter, so they were emitted at earlier levels
+            ancestors = _ancestors(rec.rule) if config.enable_skyline else ()
+            if not any(anc in emitted and rec.confidence <= emitted[anc][1] for anc in ancestors):
+                emitted[rec.rule] = (rec.metrics, rec.confidence)
+        children = set()  # all of one length, so no earlier level built them
+        for rec in records:
+            if (
+                rec.head_coverage < config.min_head_coverage
+                or len(rec.rule) >= config.max_len
+                or (config.enable_skyline and rec.closed and rec.confidence == 1)
+            ):
+                continue
+            closing_viable, dangling_viable = _viable_refinements(kg, rec.rule, config)
+            children.update(refine_dangling(kg, rec.rule, config, viable=dangling_viable))
+            children.update(refine_closing(kg, rec.rule, config, viable=closing_viable))
+            children.update(refine_instantiated(kg, rec.rule, config))
+        children = sorted(children, key=sort_key)
+    mined = [MinedRule(rule, metrics) for rule, (metrics, _) in emitted.items()]
     return sort_mined(kg, mined, config.confidence_kind)

@@ -18,14 +18,10 @@ from fractions import Fraction
 from .amie import MinerConfig, mine
 from .anyburl import AnytimeConfig, mine_anytime
 from .kg import GraphParseError, load_triples
-from .matrix import (
-    NonChainRuleError,
-    matrix_cwa_body_size,
-    matrix_support,
-)
+from .matrix import matrix_cwa_body_size, matrix_support
 from .metrics import cwa_body_size, support
 from .predict import complete
-from .rules import MAX_BODY_ATOMS, Atom, Rule, RuleParseError, parse_rule, render_rule, var
+from .rules import MAX_BODY_ATOMS, Atom, Rule, RuleParseError, is_connected, is_safe, parse_rule, render_rule, var
 
 HEADER = "rule\tsupport\tsupport_frac_hc\thead_coverage\tstd_conf\tpca_conf\tpca_direction"
 
@@ -192,11 +188,8 @@ def _cmd_verify(kg, args) -> int:
     bad = []
     for head_rel in heads:
         for rule in _chain_rules(kg, head_rel, args.max_len):
-            try:
-                m_supp = matrix_support(kg, rule)
-                m_size = matrix_cwa_body_size(kg, rule)
-            except NonChainRuleError:
-                continue
+            m_supp = matrix_support(kg, rule)
+            m_size = matrix_cwa_body_size(kg, rule)
             i_supp = support(kg, rule)
             i_size = cwa_body_size(kg, rule)
             checked += 1
@@ -254,11 +247,18 @@ def _cmd_predict(kg, args) -> int:
                     conf = Fraction(parts[conf_col].split("=", 1)[0])
                 except (ValueError, ZeroDivisionError):
                     conf = None
-                if conf is None or not 0 <= conf <= 1:
-                    msg = f"rules file line {lineno}: confidence is not a fraction in [0, 1]"
-                    print(f"error: {msg}", file=sys.stderr)
-                    return 2
-                scored.append((rule, conf))
+                # the structural checks of predict.complete, with its messages
+                if not is_connected(rule):
+                    problem = "disconnected rule"
+                elif not is_safe(rule):
+                    problem = "unsafe rule: every head variable must occur in the body"
+                elif conf is None or not 0 <= conf <= 1:
+                    problem = "confidence is not a fraction in [0, 1]"
+                else:
+                    scored.append((rule, conf))
+                    continue
+                print(f"error: rules file line {lineno}: {problem}", file=sys.stderr)
+                return 2
     except (OSError, UnicodeDecodeError):
         print(f"error: cannot read rules: {args.rules}", file=sys.stderr)
         return 2

@@ -69,11 +69,6 @@ class SparseBoolMatrix:
         rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         return list(zip(rows.tolist(), self.cols.tolist()))
 
-    def contains(self, i, j) -> bool:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = np.searchsorted(self.cols[lo:hi], j)
-        return k < hi - lo and self.cols[lo + int(k)] == j
-
     def transpose(self) -> "SparseBoolMatrix":
         if self._t is not None:
             return self._t

@@ -42,12 +42,17 @@ def _head_pair(head, hv, proj):
     return s, o
 
 
-def apply_rule(kg: KnowledgeGraph, rule: Rule, confidence=None, object_identity=False):
-    """All head facts derivable from the body, known and novel alike."""
+def _check_fires(rule):
+    """Raise ValueError unless the rule is connected and safe."""
     if not is_connected(rule):
         raise ValueError("disconnected rule")
     if not is_safe(rule):
         raise ValueError("unsafe rule: every head variable must occur in the body")
+
+
+def apply_rule(kg: KnowledgeGraph, rule: Rule, confidence=None, object_identity=False):
+    """All head facts derivable from the body, known and novel alike."""
+    _check_fires(rule)
     conf = as_fraction(confidence) if confidence is not None else pca_confidence(kg, rule)
     head = rule.head
     hv = rule.head_variables()
@@ -67,6 +72,7 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
     descending vector of confidences of the rules that predict it; vectors
     compare lexicographically with missing entries as minus infinity.
     Returns (entity id, vector) pairs, best first, at most top_k of them.
+    A disconnected or unsafe rule of the relation raises ValueError.
     """
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1")
@@ -78,8 +84,7 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
     for rule, conf in scored_rules:
         if rule.head.relation != relation:
             continue
-        if not is_safe(rule) or not is_connected(rule):
-            continue
+        _check_fires(rule)
         head = rule.head
         known_term, free_term = (
             (head.subject, head.object) if subject is not None else (head.object, head.subject)

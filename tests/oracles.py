@@ -171,6 +171,28 @@ def brute_covered(kg, rules, examples, object_identity=False) -> frozenset:
     return frozenset(out)
 
 
+def brute_embeds(anc: Rule, cand: Rule) -> bool:
+    """True when some injective renaming of anc's variables onto cand's
+    sends anc's head to cand's head and every body atom of anc into cand's
+    body; constants stay fixed.  Every renaming is tried."""
+    anc_vars = anc.variables()
+    cand_body = set(cand.body)
+
+    def rename(atom, sub):
+        s, o = atom.subject, atom.object
+        return Atom(
+            atom.relation,
+            var(sub[s.index]) if s.is_var else s,
+            var(sub[o.index]) if o.is_var else o,
+        )
+
+    for image in itertools.permutations(cand.variables(), len(anc_vars)):
+        sub = dict(zip(anc_vars, image))
+        if rename(anc.head, sub) == cand.head and all(rename(a, sub) in cand_body for a in anc.body):
+            return True
+    return False
+
+
 def random_kg(rng, max_entities=8, max_relations=4, max_facts=30) -> KnowledgeGraph:
     n_e = rng.randint(2, max_entities)
     n_r = rng.randint(1, max_relations)

@@ -1,5 +1,6 @@
 """Top-down miner: config validation, refinement operators, search output."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 
 import hornforge as hf
 from hornforge import MinerConfig, mine, parse_rule, refine_closing, refine_dangling, refine_instantiated, seed_rules
-from hornforge.amie import _viable_refinements, refine
-from oracles import all_closed_rules, brute_support, random_kg
+from hornforge.amie import _ancestors, _viable_refinements, refine
+from oracles import all_closed_rules, brute_embeds, brute_support, random_kg
 
 TINY = Fraction(1, 10**9)
 
@@ -300,6 +301,117 @@ class TestWitnessSweep:
         for rule in seed_rules(sample_kg) + [two_atom]:
             if hf.support(sample_kg, rule, object_identity) > 1:
                 assert _viable_refinements(sample_kg, rule, config) == (None, None)
+
+
+def random_rule(rng, kg, max_body):
+    """A canonical rule with a two-variable head and up to max_body random
+    body atoms over its variables, a fresh variable or a constant."""
+    rels, ents = len(kg.relations), len(kg.entities)
+    n_vars = 2
+    body = []
+    for _ in range(rng.randint(0, max_body)):
+        terms = []
+        for _ in range(2):
+            pick = rng.random()
+            if pick < 0.15:
+                terms.append(hf.const(rng.randrange(ents)))
+            elif pick < 0.4:
+                terms.append(hf.var(n_vars))
+                n_vars += 1
+            else:
+                terms.append(hf.var(rng.randrange(n_vars)))
+        body.append(hf.Atom(rng.randrange(rels), *terms))
+    return hf.canonicalize(hf.Rule(hf.Atom(rng.randrange(rels), hf.var(0), hf.var(1)), tuple(body)))
+
+
+def witness_values(kg, rule, v):
+    """Values of variable v over every substitution satisfying all of the
+    rule's atoms, by enumeration."""
+    facts = set(kg.fact_list())
+    vs = rule.variables()
+    out = set()
+    for combo in itertools.product(range(len(kg.entities)), repeat=len(vs)):
+        sub = dict(zip(vs, combo))
+
+        def value(t):
+            return sub[t.index] if t.is_var else t.index
+
+        if all((value(a.subject), a.relation, value(a.object)) in facts for a in rule.atoms):
+            out.add(sub[v])
+    return out
+
+
+class TestClosability:
+    """Each operator keeps exactly the canonical children that can still
+    close: at most twice as many open variables as atoms left to add."""
+
+    @staticmethod
+    def reference(kg, rule, op, max_len):
+        vs = rule.variables()
+        fresh = hf.var(max(vs) + 1)
+        rels = range(len(kg.relations))
+        if op is refine_dangling:
+            atoms = [a for v in vs for r in rels for a in (hf.Atom(r, hf.var(v), fresh), hf.Atom(r, fresh, hf.var(v)))]
+        elif op is refine_closing:
+            atoms = [hf.Atom(r, hf.var(a), hf.var(b)) for a in vs for b in vs if a != b for r in rels]
+        else:
+            atoms = []
+            for v in vs:
+                for val in witness_values(kg, rule, v):
+                    for s, r, o in kg.fact_list():
+                        if s == val:
+                            atoms.append(hf.Atom(r, hf.var(v), hf.const(o)))
+                        if o == val:
+                            atoms.append(hf.Atom(r, hf.const(s), hf.var(v)))
+        children = {hf.canonicalize(hf.Rule(rule.head, rule.body + (a,))) for a in atoms if a not in rule.atoms}
+        keep = [c for c in children if len(hf.open_variables(c)) <= 2 * (max_len - len(c))]
+        return sorted(keep, key=hf.sort_key)
+
+    @pytest.mark.parametrize("max_len", [3, 4, 5])
+    def test_operators_match_reference(self, max_len):
+        rng = random.Random(40 + max_len)
+        config = MinerConfig(max_len=max_len, enable_instantiation=True)
+        cut = 0
+        for _ in range(8):
+            kg = random_kg(rng, max_entities=4, max_relations=3, max_facts=12)
+            for _ in range(6):
+                rule = random_rule(rng, kg, max_len - 1)
+                for op in (refine_dangling, refine_closing, refine_instantiated):
+                    want = self.reference(kg, rule, op, max_len)
+                    assert op(kg, rule, config) == want, (op.__name__, hf.render_rule(rule, kg))
+                    cut += len(self.reference(kg, rule, op, 99)) - len(want)
+        assert cut > 0
+
+
+class TestAncestors:
+    """_ancestors lists exactly the canonical rules that embed into a rule
+    with a shorter, non-empty body."""
+
+    def test_matches_brute_force_embedding(self):
+        rng = random.Random(51)
+        config = MinerConfig(max_len=4, enable_instantiation=True)
+        true_cases = with_constant = two_atom_part = 0
+        for _ in range(3):
+            kg = random_kg(rng, max_entities=3, max_relations=2, max_facts=6)
+            rules = set()
+            for seed in seed_rules(kg):
+                for child in refine(kg, seed, config):
+                    rules.add(child)
+                    rules.update(refine(kg, child, config))
+            # three-atom bodies, whose two-atom parts are ancestors too
+            two = sorted((r for r in rules if len(r.body) == 2), key=hf.sort_key)
+            for parent in rng.sample(two, min(3, len(two))):
+                rules.update(refine(kg, parent, config))
+            rules = sorted(rules, key=hf.sort_key)
+            for cand in rules:
+                ancestors = set(_ancestors(cand))
+                for anc in rules:
+                    want = 0 < len(anc.body) < len(cand.body) and brute_embeds(anc, cand)
+                    assert (anc in ancestors) == want, (hf.render_rule(anc, kg), hf.render_rule(cand, kg))
+                    true_cases += want
+                    with_constant += want and any(not t.is_var for a in anc.body for t in a.terms)
+                    two_atom_part += want and len(anc.body) == 2
+        assert true_cases > 0 and with_constant > 0 and two_atom_part > 0
 
 
 GOLDEN = [

@@ -307,6 +307,23 @@ class TestPredict:
         assert (code, out) == (2, "")
         assert "rules file line 2: confidence" in err
 
+    @pytest.mark.parametrize(
+        "rule,msg",
+        [
+            ("nationality(?a, ?c) => speaks(?a, ?b)", "unsafe rule"),
+            ("nationality(?a, ?b) & officialLang(?c, ?d) => speaks(?a, ?b)", "disconnected rule"),
+        ],
+    )
+    def test_rules_file_rule_that_cannot_fire(self, tmp_path, rule, msg):
+        row = [rule, "1", "1/3", "0.3", "1/1=1.0", "1/1=1.0", "subject"]
+        bad = tmp_path / "unfit.tsv"
+        bad.write_text(cli.HEADER + "\n" + "\t".join(row) + "\n", encoding="utf-8")
+        code, out, err = cap(
+            ["predict", "--input", str(FIXTURE), "--rules", str(bad), "--query", "speaks(A._Merkel, ?)"]
+        )
+        assert (code, out) == (2, "")
+        assert f"error: rules file line 2: {msg}" in err
+
     def test_rules_file_without_header(self, tmp_path):
         bad = tmp_path / "norules.tsv"
         bad.write_text("not a header\n", encoding="utf-8")

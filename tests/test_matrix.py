@@ -49,11 +49,6 @@ class TestSparseBoolMatrix:
         assert m.nnz == 3
         assert m.pairs() == [(0, 0), (0, 3), (2, 1)]
 
-    def test_contains(self):
-        m = SparseBoolMatrix.from_pairs(4, [(2, 1), (0, 3)])
-        assert m.contains(2, 1) and m.contains(0, 3)
-        assert not m.contains(1, 2)
-
     def test_transpose(self):
         m = SparseBoolMatrix.from_pairs(4, [(2, 1), (0, 3), (1, 1)])
         assert sorted(m.transpose().pairs()) == [(1, 1), (1, 2), (3, 0)]

@@ -297,6 +297,12 @@ class TestStdConfidence:
         assert cwa_body_size(sample_kg, z) == 0
         assert std_confidence(sample_kg, z) == 0
 
+    @pytest.mark.parametrize("body_size", [cwa_body_size, pca_body_size])
+    def test_disconnected_rejected(self, sample_kg, body_size):
+        r = parse_rule("nationality(?a, ?b) & officialLang(?c, ?d) => speaks(?a, ?b)", sample_kg)
+        with pytest.raises(ValueError, match="disconnected rule"):
+            body_size(sample_kg, r)
+
 
 class TestPcaConfidence:
     def test_subject_direction_matches_worked_example(self, sample_kg, rule_r):
@@ -321,6 +327,10 @@ class TestPcaConfidence:
     def test_forced_directions_pass_through(self, sample_kg, rule_r):
         assert pca_direction(sample_kg, rule_r, "subject") == "subject"
         assert pca_direction(sample_kg, rule_r, "object") == "object"
+
+    def test_unknown_direction_rejected(self, sample_kg, rule_r):
+        with pytest.raises(ValueError, match="unknown confidence direction"):
+            pca_direction(sample_kg, rule_r, "sideways")
 
     def test_auto_on_empty_head_relation_defaults_to_subject(self, sample_kg):
         sub = sample_kg.select_relevant_subgraph(rel(sample_kg, "speaks"), 2)

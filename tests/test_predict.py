@@ -167,6 +167,18 @@ class TestComplete:
         germany = sample_kg.entities.id("Germany")
         assert complete(sample_kg, [(wf, Fraction(1))], "worksFor", object=germany) == []
 
+    @pytest.mark.parametrize(
+        "text,msg",
+        [
+            ("nationality(?a, ?c) => speaks(?a, ?b)", "unsafe rule"),
+            ("nationality(?a, ?b) & officialLang(?c, ?d) => speaks(?a, ?b)", "disconnected rule"),
+        ],
+    )
+    def test_rule_that_cannot_fire_rejected(self, sample_kg, text, msg):
+        rule = hf.parse_rule(text, sample_kg)
+        with pytest.raises(ValueError, match=msg):
+            complete(sample_kg, [(rule, Fraction(1))], "speaks", subject="A._Merkel")
+
     def test_other_head_relations_ignored(self, sample_kg, rule_r):
         merkel = sample_kg.entities.id("A._Merkel")
         assert complete(sample_kg, [(rule_r, Fraction(1))], "nationality", subject=merkel) == []

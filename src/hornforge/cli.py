@@ -242,7 +242,11 @@ def _cmd_predict(kg, args) -> int:
                 if len(parts) != 7:
                     print(f"error: rules file line {lineno}: expected 7 fields", file=sys.stderr)
                     return 2
-                rule = parse_rule(parts[0], kg)
+                try:
+                    rule = parse_rule(parts[0], kg)
+                except RuleParseError as exc:
+                    print(f"error: rules file line {lineno}: {exc}", file=sys.stderr)
+                    return 2
                 try:
                     conf = Fraction(parts[conf_col].split("=", 1)[0])
                 except (ValueError, ZeroDivisionError):
@@ -261,9 +265,6 @@ def _cmd_predict(kg, args) -> int:
                 return 2
     except (OSError, UnicodeDecodeError):
         print(f"error: cannot read rules: {args.rules}", file=sys.stderr)
-        return 2
-    except RuleParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     subject = known if rhs == "?" else None
     obj = known if lhs == "?" else None

@@ -40,15 +40,9 @@ class SparseBoolMatrix:
 
     @classmethod
     def from_pairs(cls, n, pairs):
-        pl = list(pairs)
-        if not pl:
-            return cls(n, np.zeros(n + 1, np.int64), np.empty(0, np.int64))
-        arr = np.asarray(pl, np.int64)
-        keys = np.unique(arr[:, 0] * n + arr[:, 1])
-        rows = keys // n
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(n, indptr, keys % n)
+        arr = np.asarray(list(pairs), np.int64).reshape(-1, 2)
+        keys = _kernels.sorted_unique(arr[:, 0] * n + arr[:, 1])
+        return cls(n, *_kernels.csr_from_keys(keys, n))
 
     @classmethod
     def identity(cls, n):
@@ -61,23 +55,17 @@ class SparseBoolMatrix:
     def keys(self):
         """row*n+col encodings, sorted ascending (rows ascend, cols sorted)."""
         if self._keys is None:
-            rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-            self._keys = rows * self.n + self.cols
+            self._keys = _kernels.row_ids(self.indptr) * self.n + self.cols
         return self._keys
 
     def pairs(self):
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        return list(zip(rows.tolist(), self.cols.tolist()))
+        return list(zip(_kernels.row_ids(self.indptr).tolist(), self.cols.tolist()))
 
     def transpose(self) -> "SparseBoolMatrix":
         if self._t is not None:
             return self._t
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        keys = np.sort(self.cols * self.n + rows)
-        new_rows = keys // self.n
-        indptr = np.zeros(self.n + 1, np.int64)
-        np.cumsum(np.bincount(new_rows, minlength=self.n), out=indptr[1:])
-        t = SparseBoolMatrix(self.n, indptr, keys % self.n)
+        keys = np.sort(self.cols * self.n + _kernels.row_ids(self.indptr))
+        t = SparseBoolMatrix(self.n, *_kernels.csr_from_keys(keys, self.n))
         t._t = self
         self._t = t
         return t

@@ -324,6 +324,24 @@ class TestPredict:
         assert (code, out) == (2, "")
         assert f"error: rules file line 2: {msg}" in err
 
+    @pytest.mark.parametrize(
+        "rule,msg",
+        [
+            ("bogus(?a, ?b) => speaks(?a, ?b)", "unknown relation: 'bogus'"),
+            ("nationality(?a ?b) => speaks(?a, ?b)", "malformed atom"),
+        ],
+    )
+    def test_rules_file_rule_that_does_not_parse(self, tmp_path, rule, msg):
+        good = ["nationality(?a, ?b) => speaks(?a, ?b)", "1", "1/3", "0.3", "1/1=1.0", "1/1=1.0", "subject"]
+        bad = tmp_path / "unparsed.tsv"
+        lines = [cli.HEADER, "\t".join(good), "\t".join([rule] + good[1:])]
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = cap(
+            ["predict", "--input", str(FIXTURE), "--rules", str(bad), "--query", "speaks(A._Merkel, ?)"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: rules file line 3: {msg}")
+
     def test_rules_file_without_header(self, tmp_path):
         bad = tmp_path / "norules.tsv"
         bad.write_text("not a header\n", encoding="utf-8")

@@ -54,20 +54,24 @@ def uniform_graph(seed, entities, relations, facts):
     return _graph(out)
 
 
-def chain_rules(kg):
-    """Every chain rule with a two-variable head and one or two body atoms,
-    both orientations per step."""
-    x, y, z = hf.var(0), hf.var(1), hf.var(2)
+def chain_rules(kg, max_atoms=2):
+    """Every chain rule with a two-variable head ?0, ?1 and one to max_atoms
+    body atoms walking ?0, ?2, ?3, ..., ?1, both orientations per step."""
     rels = range(len(kg.relations))
     for h in rels:
-        head = hf.Atom(h, x, y)
-        for r in rels:
-            for atom in (hf.Atom(r, x, y), hf.Atom(r, y, x)):
-                yield hf.Rule(head, (atom,))
-        for r1, r2 in itertools.product(rels, repeat=2):
-            for a1 in (hf.Atom(r1, x, z), hf.Atom(r1, z, x)):
-                for a2 in (hf.Atom(r2, z, y), hf.Atom(r2, y, z)):
-                    yield hf.Rule(head, (a1, a2))
+        head = hf.Atom(h, hf.var(0), hf.var(1))
+        for length in range(1, max_atoms + 1):
+            walk = [hf.var(i) for i in (0, *range(2, length + 1), 1)]
+            steps = list(zip(walk, walk[1:]))
+            for chain in itertools.product(rels, repeat=length):
+                for flips in itertools.product((False, True), repeat=length):
+                    yield hf.Rule(
+                        head,
+                        tuple(
+                            hf.Atom(r, b, a) if flip else hf.Atom(r, a, b)
+                            for r, (a, b), flip in zip(chain, steps, flips)
+                        ),
+                    )
 
 
 SMALL_CONFIGS = {
@@ -158,12 +162,31 @@ def dump_complete():
                 yield f"complete r={r} {side}={e}\t{ranked}"
 
 
+def dump_matrix():
+    """The matrix route on every chain rule of up to three body atoms: its
+    counts, the entities reached from a few starts, and one summed ranking."""
+    kg = uniform_graph(13, entities=300, relations=5, facts=1_800)
+    starts = (0, 57, 123)
+    scored = []
+    for rule in chain_rules(kg, max_atoms=3):
+        supp = hf.matrix_support(kg, rule)
+        size = hf.matrix_cwa_body_size(kg, rule)
+        counts = (supp, size, len(hf.body_product(kg, rule).pairs()))
+        reached = [sorted(hf.tensorlog_infer(kg, rule, e).nonzeros) for e in starts]
+        yield f"matrix\t{hf.render_rule(rule, kg)}\t{counts}\t{reached}"
+        if supp:
+            scored.append((rule, Fraction(supp, size)))
+    for e in starts:
+        yield f"aggregate_infer from={e}\t{hf.aggregate_infer(kg, scored, e)}"
+
+
 SECTIONS = (
     ("mining", dump_mining),
     ("operators", dump_operators),
     ("anytime", dump_anytime),
     ("measures", dump_measures),
     ("complete", dump_complete),
+    ("matrix", dump_matrix),
 )
 
 

@@ -19,17 +19,25 @@ keeps only the dangling and closing atoms some solution realizes, so
 children without support are never built.  The rows come from
 `KnowledgeGraph.index_join` for rules of one or two all-variable atoms
 without object identity, and from `metrics.projections` onto the
-variables the sweep reads otherwise.  Its one overrun point is past
-_WITNESS_LIMIT rows: the sweep then prunes nothing for that parent,
-which only lets zero-support children through, so the mined rules do
-not change.
+variables the sweep reads otherwise.  Rows from `index_join` are the
+parent's full solutions, so the same sweep also counts the support of
+each closing child (AMIE's count projection): the distinct head tuples
+of the rows that realize its atom.  The level loop carries that count to
+the child's evaluation; every other child (dangling, instantiated, or of
+a parent swept through `projections`) gets its support from
+`metrics.support`.  The sweep's one overrun point is past _WITNESS_LIMIT
+rows: it then prunes nothing and counts nothing for that parent, which
+only lets zero-support children through, so the mined rules do not
+change.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 from .kg import KnowledgeGraph
 from .metrics import (
@@ -147,15 +155,27 @@ def refine_dangling(kg, rule: Rule, config: MinerConfig, viable=None):
     return _children(rule, atoms)
 
 
+def _closing_children(kg, rule: Rule, config: MinerConfig, closing=None):
+    """{canonical child: its support or None} for the children adding one
+    atom over two existing variables.  `closing` is None (build them all)
+    or the witness sweep's dict from each (r, a, b) worth building to the
+    support of the child adding r(a, b), None where the sweep counted
+    nothing."""
+    children = {}
+    for a, b in _slots(rule, config.max_len)[0]:
+        for r in range(len(kg.relations)):
+            if closing is None or (r, a, b) in closing:
+                atom = Atom(r, var(a), var(b))
+                if atom not in rule.atoms:
+                    child = canonicalize(Rule(rule.head, rule.body + (atom,)))
+                    children[child] = None if closing is None else closing[r, a, b]
+    return children
+
+
 def refine_closing(kg, rule: Rule, config: MinerConfig, viable=None):
     """Children extending the body with one atom over two existing variables."""
-    atoms = [
-        Atom(r, var(a), var(b))
-        for a, b in _slots(rule, config.max_len)[0]
-        for r in range(len(kg.relations))
-        if viable is None or (r, a, b) in viable
-    ]
-    return _children(rule, atoms)
+    closing = None if viable is None else dict.fromkeys(viable)
+    return sorted(_closing_children(kg, rule, config, closing), key=sort_key)
 
 
 def refine_instantiated(kg, rule: Rule, config: MinerConfig):
@@ -189,15 +209,18 @@ def refine(kg, rule: Rule, config: MinerConfig):
 
 
 def _viable_refinements(kg, rule: Rule, config: MinerConfig):
-    """(closing, dangling) viability sets from the rule's solution witnesses.
+    """(closing, dangling) viability from the rule's solution witnesses.
 
     A closing atom r(a, b) or dangling atom on variable v can only yield a
     child with support > 0 if some witness already realizes it, so blind
-    children outside these sets are skipped without evaluation.  Only the
+    children outside these are skipped without evaluation.  Only the
     slots of _slots are collected.  The witness rows come from
     `kg.index_join` when the rule's shape allows it and object identity is
     off, and otherwise from `projections` onto the variables the sweep
-    reads.
+    reads.  `closing` maps each (r, a, b) to its child's support: index_join
+    rows are the rule's full solutions, so the distinct head tuples of the
+    rows that realize r(a, b) are that child's support.  Projected rows
+    count nothing, and their keys map to None.
     Returns (None, None) when the rows overrun _WITNESS_LIMIT.
     """
     pairs_needed, dangling_vars, _ = _slots(rule, config.max_len)
@@ -205,25 +228,34 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     if joined is None:
         cols = sorted({v for pair in pairs_needed for v in pair}.union(dangling_vars))
         rows = projections(kg, rule.atoms, cols, None, config.object_identity, _WITNESS_LIMIT)
+        head_of = None
     else:
         cols, rows = joined
-    probe_pairs = [(a, b, cols.index(a), cols.index(b)) for a, b in pairs_needed]
+        head_of = itemgetter(*(cols.index(v) for v in rule.head_variables()))
+    # per closing pair: relation -> head tuples of the rows realizing it
+    heads = {pair: defaultdict(set) for pair in pairs_needed}
+    probe_pairs = [(cols.index(a), cols.index(b), heads[a, b]) for a, b in pairs_needed]
     dang_slots = [(v, cols.index(v)) for v in dangling_vars]
     relations_linking = kg.relations_linking
-    closing = set()
     val_sets = {v: set() for v in dangling_vars}
     n = 0
     for row in () if rows is None else rows:
         n += 1
         if n > _WITNESS_LIMIT:
             break
-        for a, b, ia, ib in probe_pairs:
+        head = None if head_of is None else head_of(row)
+        for ia, ib, by_relation in probe_pairs:
             for r in relations_linking(row[ia], row[ib]):
-                closing.add((r, a, b))
+                by_relation[r].add(head)
         for v, iv in dang_slots:
             val_sets[v].add(row[iv])
     if rows is None or n > _WITNESS_LIMIT:
-        return None, None  # witness overrun: prune nothing
+        return None, None  # witness overrun: prune nothing, count nothing
+    closing = {
+        (r, a, b): None if head_of is None else len(hs)
+        for (a, b), by_relation in heads.items()
+        for r, hs in by_relation.items()
+    }
     dangling = set()
     for v, vals in val_sets.items():
         out_rels = {r for val in vals for r, _ in kg.out_edges(val)}
@@ -247,8 +279,11 @@ class _Record:
         return Fraction(self.support, self.head_fact_count)
 
 
-def _evaluate_candidate(kg, rule: Rule, config: MinerConfig) -> _Record:
-    supp = support(kg, rule, config.object_identity)
+def _evaluate_candidate(kg, rule: Rule, config: MinerConfig, supp=None) -> _Record:
+    """The rule's record; `supp` is its support when a witness sweep
+    already counted it."""
+    if supp is None:
+        supp = support(kg, rule, config.object_identity)
     rec = _Record(
         rule=rule,
         support=supp,
@@ -286,8 +321,9 @@ def mine(kg: KnowledgeGraph, config: MinerConfig = None):
         config = MinerConfig()
     emitted = {}  # rule -> (metrics, confidence), in emission order
     children = seed_rules(kg)
+    carried = {}  # child -> support counted by its parent's witness sweep
     while children:
-        records = [_evaluate_candidate(kg, r, config) for r in children]
+        records = [_evaluate_candidate(kg, r, config, carried.get(r)) for r in children]
         for rec in records:
             if rec.metrics is None:
                 continue
@@ -296,6 +332,7 @@ def mine(kg: KnowledgeGraph, config: MinerConfig = None):
             if not any(anc in emitted and rec.confidence <= emitted[anc][1] for anc in ancestors):
                 emitted[rec.rule] = (rec.metrics, rec.confidence)
         children = set()  # all of one length, so no earlier level built them
+        carried = {}
         for rec in records:
             if (
                 rec.head_coverage < config.min_head_coverage
@@ -304,8 +341,10 @@ def mine(kg: KnowledgeGraph, config: MinerConfig = None):
             ):
                 continue
             closing_viable, dangling_viable = _viable_refinements(kg, rec.rule, config)
+            closing = _closing_children(kg, rec.rule, config, closing_viable)
+            carried.update((child, n) for child, n in closing.items() if n is not None)
             children.update(refine_dangling(kg, rec.rule, config, viable=dangling_viable))
-            children.update(refine_closing(kg, rec.rule, config, viable=closing_viable))
+            children.update(closing)
             children.update(refine_instantiated(kg, rec.rule, config))
         children = sorted(children, key=sort_key)
     mined = [MinedRule(rule, metrics) for rule, (metrics, _) in emitted.items()]

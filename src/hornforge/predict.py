@@ -53,7 +53,10 @@ def _check_fires(rule):
 def apply_rule(kg: KnowledgeGraph, rule: Rule, confidence=None, object_identity=False):
     """All head facts derivable from the body, known and novel alike."""
     _check_fires(rule)
-    conf = as_fraction(confidence) if confidence is not None else pca_confidence(kg, rule)
+    if confidence is None:
+        conf = pca_confidence(kg, rule, object_identity=object_identity)
+    else:
+        conf = as_fraction(confidence)
     head = rule.head
     hv = rule.head_variables()
     out = []

@@ -8,7 +8,7 @@ import pytest
 
 import hornforge as hf
 from hornforge import MinerConfig, mine, parse_rule, refine_closing, refine_dangling, refine_instantiated, seed_rules
-from hornforge.amie import _ancestors, _viable_refinements, refine
+from hornforge.amie import _ancestors, _closing_children, _viable_refinements, refine
 from oracles import all_closed_rules, brute_embeds, brute_support, random_kg
 
 TINY = Fraction(1, 10**9)
@@ -242,10 +242,26 @@ class TestWitnessSweep:
     """_viable_refinements against brute-force support of every child."""
 
     def check(self, kg, config, parents):
+        """Pruning keeps exactly the supported children, and each closing
+        child of a parent swept through `index_join` (at most two atoms,
+        all variables, no object identity) carries its exact support;
+        every other parent carries none.  Returns the number carried."""
         oi = config.object_identity
+        n_carried = 0
         for rule in parents:
             closing, dangling = _viable_refinements(kg, rule, config)
             assert closing is not None
+            counts = _closing_children(kg, rule, config, closing)
+            assert sorted(counts, key=hf.sort_key) == refine_closing(kg, rule, config, viable=closing)
+            carried = {child: n for child, n in counts.items() if n is not None}
+            all_vars = all(t.is_var for atom in rule.atoms for t in atom.terms)
+            if oi or len(rule) > 2 or not all_vars:
+                assert carried == {}
+            else:
+                assert carried.keys() == counts.keys()
+                for child, count in carried.items():
+                    assert count == brute_support(kg, child), hf.render_rule(child, kg)
+                n_carried += len(carried)
             for op, viable in ((refine_closing, closing), (refine_dangling, dangling)):
                 pruned = op(kg, rule, config, viable=viable)
                 unpruned = op(kg, rule, config)
@@ -255,14 +271,17 @@ class TestWitnessSweep:
                     assert set(supported) <= set(pruned) <= set(unpruned)
                 else:
                     assert pruned == supported
+        return n_carried
 
     @pytest.mark.parametrize("object_identity", [False, True])
     def test_seeds_and_supported_children(self, object_identity):
         rng = random.Random(21)
         config = MinerConfig(object_identity=object_identity)
+        carried = 0
         for _ in range(15):
             kg = random_kg(rng)
-            self.check(kg, config, supported_parents(kg, config, 1))
+            carried += self.check(kg, config, supported_parents(kg, config, 1))
+        assert (carried > 0) != object_identity
 
     @pytest.mark.parametrize("object_identity", [False, True])
     def test_three_atom_parents(self, object_identity):
@@ -290,7 +309,7 @@ class TestWitnessSweep:
                 if brute_support(kg, child, object_identity) > 0
             ]
             with_constant += len(parents)
-            self.check(kg, config, parents)
+            assert self.check(kg, config, parents) == 0
         assert with_constant > 0
 
     @pytest.mark.parametrize("object_identity", [False, True])
@@ -301,6 +320,46 @@ class TestWitnessSweep:
         for rule in seed_rules(sample_kg) + [two_atom]:
             if hf.support(sample_kg, rule, object_identity) > 1:
                 assert _viable_refinements(sample_kg, rule, config) == (None, None)
+
+
+    @pytest.mark.parametrize("limit", [0, 4])
+    def test_overrun_never_carries_a_count(self, monkeypatch, limit):
+        # every parent of these runs is swept through index_join
+        rng = random.Random(24)
+        config = MinerConfig(min_head_coverage=TINY, min_confidence=TINY, enable_skyline=False)
+        graphs = [random_kg(rng) for _ in range(12)]
+        expected = [mine(kg, config) for kg in graphs]
+        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", limit)
+        true_support = hf.amie.support
+        n_over = n_fine = 0
+        for kg, want in zip(graphs, expected):
+            supported, parents, carried_seen = set(), [], {}
+
+            def spy_support(kg_, rule, object_identity=False):
+                supported.add(rule)
+                return true_support(kg_, rule, object_identity)
+
+            def spy_closing(kg_, rule, config_, closing=None):
+                parents.append(rule)
+                kids = _closing_children(kg_, rule, config_, closing)
+                carried_seen.update((child, n) for child, n in kids.items() if n is not None)
+                return kids
+
+            monkeypatch.setattr(hf.amie, "support", spy_support)
+            monkeypatch.setattr(hf.amie, "_closing_children", spy_closing)
+            assert mine(kg, config) == want
+            for child, count in carried_seen.items():
+                assert count == true_support(kg, child)
+            over = [p for p in parents if sum(1 for _ in kg.index_join(p.atoms)[1]) > limit]
+            fine = [p for p in parents if p not in over]
+            counted = {c for p in fine for c in refine_closing(kg, p, config)}
+            for p in over:
+                for child in refine_closing(kg, p, config):
+                    assert child in supported or child in counted
+            n_over += len(over)
+            n_fine += len(fine)
+        assert n_over > 0
+        assert (n_fine > 0) == (limit > 0)
 
 
 def random_rule(rng, kg, max_body):

@@ -74,6 +74,16 @@ class TestApplyRule:
         preds = apply_rule(sample_kg, rule_r, confidence=Fraction(1, 2))
         assert all(p.rules == ((rule_r, Fraction(1, 2)),) for p in preds)
 
+    def test_default_confidence_keeps_object_identity(self):
+        kg = hf.KnowledgeGraph.from_label_triples([
+            ("e1", "p", "e2"), ("e2", "q", "e3"), ("e4", "p", "e4"),
+            ("e4", "q", "e5"), ("e1", "h", "e3"), ("e4", "h", "e9"),
+        ])  # fmt: skip
+        rule = hf.parse_rule("p(?a, ?c) & q(?c, ?b) => h(?a, ?b)", kg)
+        assert hf.pca_confidence(kg, rule) == Fraction(1, 2)
+        preds = apply_rule(kg, rule, object_identity=True)
+        assert [(labeled(kg, p.fact), p.rules) for p in preds] == [(("e1", "h", "e3"), ((rule, 1),))]
+
     def test_rejects_disconnected(self, sample_kg):
         rule = hf.parse_rule("gender(?c, ?d) => speaks(?a, ?b)", sample_kg)
         with pytest.raises(ValueError, match="disconnected rule"):

@@ -14,21 +14,19 @@ instantiable variables of a parent whose child can still close within
 `max_len`.  The operators build children only there and the sweep below
 reads only there.
 
-Before a parent is refined, one witness sweep reads its solutions and
-keeps only the dangling and closing atoms some solution realizes, so
+Before a parent is refined, one witness sweep reads its full solutions
+and keeps only the dangling and closing atoms some solution realizes, so
 children without support are never built.  The rows come from
 `KnowledgeGraph.index_join` for rules of one or two all-variable atoms
-without object identity, and from `metrics.projections` onto the
-variables the sweep reads otherwise.  Rows from `index_join` are the
-parent's full solutions, so the same sweep also counts the support of
+without object identity, and from `metrics.projections` onto all of the
+rule's variables otherwise.  The same sweep also counts the support of
 each closing child (AMIE's count projection): the distinct head tuples
 of the rows that realize its atom.  The level loop carries that count to
-the child's evaluation; every other child (dangling, instantiated, or of
-a parent swept through `projections`) gets its support from
-`metrics.support`.  The sweep's one overrun point is past _WITNESS_LIMIT
-rows: it then prunes nothing and counts nothing for that parent, which
-only lets zero-support children through, so the mined rules do not
-change.
+the child's evaluation; dangling and instantiated children get their
+support from `metrics.support`.  The sweep's one overrun point is past
+_WITNESS_LIMIT rows: it then prunes nothing and counts nothing for that
+parent, which only lets zero-support children through, so the mined
+rules do not change.
 """
 
 from __future__ import annotations
@@ -157,10 +155,9 @@ def refine_dangling(kg, rule: Rule, config: MinerConfig, viable=None):
 
 def _closing_children(kg, rule: Rule, config: MinerConfig, closing=None):
     """{canonical child: its support or None} for the children adding one
-    atom over two existing variables.  `closing` is None (build them all)
-    or the witness sweep's dict from each (r, a, b) worth building to the
-    support of the child adding r(a, b), None where the sweep counted
-    nothing."""
+    atom over two existing variables.  `closing` is None (build them all,
+    supports unknown) or the witness sweep's dict from each (r, a, b) worth
+    building to the support of the child adding r(a, b)."""
     children = {}
     for a, b in _slots(rule, config.max_len)[0]:
         for r in range(len(kg.relations)):
@@ -172,10 +169,9 @@ def _closing_children(kg, rule: Rule, config: MinerConfig, closing=None):
     return children
 
 
-def refine_closing(kg, rule: Rule, config: MinerConfig, viable=None):
+def refine_closing(kg, rule: Rule, config: MinerConfig):
     """Children extending the body with one atom over two existing variables."""
-    closing = None if viable is None else dict.fromkeys(viable)
-    return sorted(_closing_children(kg, rule, config, closing), key=sort_key)
+    return sorted(_closing_children(kg, rule, config), key=sort_key)
 
 
 def refine_instantiated(kg, rule: Rule, config: MinerConfig):
@@ -214,24 +210,22 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     A closing atom r(a, b) or dangling atom on variable v can only yield a
     child with support > 0 if some witness already realizes it, so blind
     children outside these are skipped without evaluation.  Only the
-    slots of _slots are collected.  The witness rows come from
-    `kg.index_join` when the rule's shape allows it and object identity is
-    off, and otherwise from `projections` onto the variables the sweep
-    reads.  `closing` maps each (r, a, b) to its child's support: index_join
-    rows are the rule's full solutions, so the distinct head tuples of the
-    rows that realize r(a, b) are that child's support.  Projected rows
-    count nothing, and their keys map to None.
+    slots of _slots are collected.  The witness rows are the rule's full
+    solutions: from `kg.index_join` when the rule's shape allows it and
+    object identity is off, and otherwise from `projections` onto all of
+    the rule's variables.  A closing atom adds no variable, so `closing`
+    maps each (r, a, b) to its child's support: the distinct head tuples
+    of the rows that realize r(a, b).
     Returns (None, None) when the rows overrun _WITNESS_LIMIT.
     """
     pairs_needed, dangling_vars, _ = _slots(rule, config.max_len)
     joined = None if config.object_identity else kg.index_join(rule.atoms)
     if joined is None:
-        cols = sorted({v for pair in pairs_needed for v in pair}.union(dangling_vars))
+        cols = rule.variables()
         rows = projections(kg, rule.atoms, cols, None, config.object_identity, _WITNESS_LIMIT)
-        head_of = None
     else:
         cols, rows = joined
-        head_of = itemgetter(*(cols.index(v) for v in rule.head_variables()))
+    head_of = itemgetter(*(cols.index(v) for v in rule.head_variables()))
     # per closing pair: relation -> head tuples of the rows realizing it
     heads = {pair: defaultdict(set) for pair in pairs_needed}
     probe_pairs = [(cols.index(a), cols.index(b), heads[a, b]) for a, b in pairs_needed]
@@ -243,7 +237,7 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
         n += 1
         if n > _WITNESS_LIMIT:
             break
-        head = None if head_of is None else head_of(row)
+        head = head_of(row)
         for ia, ib, by_relation in probe_pairs:
             for r in relations_linking(row[ia], row[ib]):
                 by_relation[r].add(head)
@@ -252,7 +246,7 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     if rows is None or n > _WITNESS_LIMIT:
         return None, None  # witness overrun: prune nothing, count nothing
     closing = {
-        (r, a, b): None if head_of is None else len(hs)
+        (r, a, b): len(hs)
         for (a, b), by_relation in heads.items()
         for r, hs in by_relation.items()
     }

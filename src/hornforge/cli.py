@@ -20,8 +20,8 @@ from .anyburl import AnytimeConfig, mine_anytime
 from .kg import GraphParseError, load_triples
 from .matrix import matrix_cwa_body_size, matrix_support
 from .metrics import cwa_body_size, support
-from .predict import complete
-from .rules import MAX_BODY_ATOMS, Atom, Rule, RuleParseError, is_connected, is_safe, parse_rule, render_rule, var
+from .predict import check_fires, complete
+from .rules import MAX_BODY_ATOMS, Atom, Rule, RuleParseError, parse_rule, render_rule, var
 
 HEADER = "rule\tsupport\tsupport_frac_hc\thead_coverage\tstd_conf\tpca_conf\tpca_direction"
 
@@ -251,18 +251,14 @@ def _cmd_predict(kg, args) -> int:
                     conf = Fraction(parts[conf_col].split("=", 1)[0])
                 except (ValueError, ZeroDivisionError):
                     conf = None
-                # the structural checks of predict.complete, with its messages
-                if not is_connected(rule):
-                    problem = "disconnected rule"
-                elif not is_safe(rule):
-                    problem = "unsafe rule: every head variable must occur in the body"
-                elif conf is None or not 0 <= conf <= 1:
-                    problem = "confidence is not a fraction in [0, 1]"
-                else:
-                    scored.append((rule, conf))
-                    continue
-                print(f"error: rules file line {lineno}: {problem}", file=sys.stderr)
-                return 2
+                try:
+                    check_fires(rule)
+                    if conf is None or not 0 <= conf <= 1:
+                        raise ValueError("confidence is not a fraction in [0, 1]")
+                except ValueError as exc:
+                    print(f"error: rules file line {lineno}: {exc}", file=sys.stderr)
+                    return 2
+                scored.append((rule, conf))
     except (OSError, UnicodeDecodeError):
         print(f"error: cannot read rules: {args.rules}", file=sys.stderr)
         return 2

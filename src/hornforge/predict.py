@@ -42,7 +42,7 @@ def _head_pair(head, hv, proj):
     return s, o
 
 
-def _check_fires(rule):
+def check_fires(rule):
     """Raise ValueError unless the rule is connected and safe."""
     if not is_connected(rule):
         raise ValueError("disconnected rule")
@@ -52,7 +52,7 @@ def _check_fires(rule):
 
 def apply_rule(kg: KnowledgeGraph, rule: Rule, confidence=None, object_identity=False):
     """All head facts derivable from the body, known and novel alike."""
-    _check_fires(rule)
+    check_fires(rule)
     if confidence is None:
         conf = pca_confidence(kg, rule, object_identity=object_identity)
     else:
@@ -87,7 +87,7 @@ def complete(kg: KnowledgeGraph, scored_rules, relation, subject=None, object=No
     for rule, conf in scored_rules:
         if rule.head.relation != relation:
             continue
-        _check_fires(rule)
+        check_fires(rule)
         head = rule.head
         known_term, free_term = (
             (head.subject, head.object) if subject is not None else (head.object, head.subject)

@@ -154,10 +154,6 @@ class TestRefineClosing:
     def test_length_budget_exhausted(self, sample_kg, rule_r):
         assert refine_closing(sample_kg, rule_r, MinerConfig()) == []
 
-    def test_viability_filter(self, sample_kg):
-        seed = seed_rules(sample_kg)[0]
-        assert refine_closing(sample_kg, seed, MinerConfig(), viable=set()) == []
-
 
 class TestRefineInstantiated:
     def test_disabled_by_default(self, sample_kg):
@@ -242,28 +238,23 @@ class TestWitnessSweep:
     """_viable_refinements against brute-force support of every child."""
 
     def check(self, kg, config, parents):
-        """Pruning keeps exactly the supported children, and each closing
-        child of a parent swept through `index_join` (at most two atoms,
-        all variables, no object identity) carries its exact support;
-        every other parent carries none.  Returns the number carried."""
+        """Pruning keeps exactly the supported children, and every parent
+        carries a count for each of its pruned closing children, equal to
+        that child's support.  Returns the number carried."""
         oi = config.object_identity
         n_carried = 0
         for rule in parents:
             closing, dangling = _viable_refinements(kg, rule, config)
             assert closing is not None
             counts = _closing_children(kg, rule, config, closing)
-            assert sorted(counts, key=hf.sort_key) == refine_closing(kg, rule, config, viable=closing)
-            carried = {child: n for child, n in counts.items() if n is not None}
-            all_vars = all(t.is_var for atom in rule.atoms for t in atom.terms)
-            if oi or len(rule) > 2 or not all_vars:
-                assert carried == {}
-            else:
-                assert carried.keys() == counts.keys()
-                for child, count in carried.items():
-                    assert count == brute_support(kg, child), hf.render_rule(child, kg)
-                n_carried += len(carried)
-            for op, viable in ((refine_closing, closing), (refine_dangling, dangling)):
-                pruned = op(kg, rule, config, viable=viable)
+            for child, count in counts.items():
+                assert count == brute_support(kg, child, oi), hf.render_rule(child, kg)
+            n_carried += len(counts)
+            pruned_by_op = (
+                (refine_closing, sorted(counts, key=hf.sort_key)),
+                (refine_dangling, refine_dangling(kg, rule, config, viable=dangling)),
+            )
+            for op, pruned in pruned_by_op:
                 unpruned = op(kg, rule, config)
                 supported = [c for c in unpruned if brute_support(kg, c, oi) > 0]
                 if oi:
@@ -281,7 +272,7 @@ class TestWitnessSweep:
         for _ in range(15):
             kg = random_kg(rng)
             carried += self.check(kg, config, supported_parents(kg, config, 1))
-        assert (carried > 0) != object_identity
+        assert carried > 0
 
     @pytest.mark.parametrize("object_identity", [False, True])
     def test_three_atom_parents(self, object_identity):
@@ -299,7 +290,7 @@ class TestWitnessSweep:
     def test_parents_with_a_constant(self, object_identity):
         rng = random.Random(23)
         config = MinerConfig(enable_instantiation=True, object_identity=object_identity)
-        with_constant = 0
+        with_constant = carried = 0
         for _ in range(10):
             kg = random_kg(rng)
             parents = [
@@ -309,8 +300,9 @@ class TestWitnessSweep:
                 if brute_support(kg, child, object_identity) > 0
             ]
             with_constant += len(parents)
-            assert self.check(kg, config, parents) == 0
+            carried += self.check(kg, config, parents)
         assert with_constant > 0
+        assert carried > 0
 
     @pytest.mark.parametrize("object_identity", [False, True])
     def test_overrun_prunes_nothing(self, sample_kg, monkeypatch, object_identity):
@@ -324,35 +316,45 @@ class TestWitnessSweep:
 
     @pytest.mark.parametrize("limit", [0, 4])
     def test_overrun_never_carries_a_count(self, monkeypatch, limit):
-        # every parent of these runs is swept through index_join
+        # two-atom parents of the default search are swept through
+        # index_join, three-atom parents and any under object identity
+        # through projections
+        loose = dict(min_head_coverage=TINY, min_confidence=TINY, enable_skyline=False)
+        configs = [
+            MinerConfig(**loose),
+            MinerConfig(max_len=4, **loose),
+            MinerConfig(object_identity=True, **loose),
+        ]
         rng = random.Random(24)
-        config = MinerConfig(min_head_coverage=TINY, min_confidence=TINY, enable_skyline=False)
-        graphs = [random_kg(rng) for _ in range(12)]
-        expected = [mine(kg, config) for kg in graphs]
+        runs = [(random_kg(rng), config) for config in configs for _ in range(12)]
+        expected = [mine(kg, config) for kg, config in runs]
         monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", limit)
         true_support = hf.amie.support
         n_over = n_fine = 0
-        for kg, want in zip(graphs, expected):
-            supported, parents, carried_seen = set(), [], {}
+        for (kg, config), want in zip(runs, expected):
+            oi = config.object_identity
+            supported, swept = set(), []
 
             def spy_support(kg_, rule, object_identity=False):
                 supported.add(rule)
                 return true_support(kg_, rule, object_identity)
 
             def spy_closing(kg_, rule, config_, closing=None):
-                parents.append(rule)
                 kids = _closing_children(kg_, rule, config_, closing)
-                carried_seen.update((child, n) for child, n in kids.items() if n is not None)
+                swept.append((rule, kids))
                 return kids
 
             monkeypatch.setattr(hf.amie, "support", spy_support)
             monkeypatch.setattr(hf.amie, "_closing_children", spy_closing)
             assert mine(kg, config) == want
-            for child, count in carried_seen.items():
-                assert count == true_support(kg, child)
-            over = [p for p in parents if sum(1 for _ in kg.index_join(p.atoms)[1]) > limit]
-            fine = [p for p in parents if p not in over]
-            counted = {c for p in fine for c in refine_closing(kg, p, config)}
+            fine = [(p, kids) for p, kids in swept if len(hf.enumerate_solutions(kg, p.atoms, oi)) <= limit]
+            over = [p for p, _ in swept if p not in dict(fine)]
+            counted = set()
+            for p, kids in fine:
+                for child, count in kids.items():
+                    assert count == true_support(kg, child, oi), hf.render_rule(child, kg)
+                    assert child not in supported, hf.render_rule(child, kg)
+                counted.update(kids)
             for p in over:
                 for child in refine_closing(kg, p, config):
                     assert child in supported or child in counted

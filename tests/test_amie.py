@@ -347,19 +347,20 @@ class TestWitnessSweep:
             monkeypatch.setattr(hf.amie, "support", spy_support)
             monkeypatch.setattr(hf.amie, "_closing_children", spy_closing)
             assert mine(kg, config) == want
-            fine = [(p, kids) for p, kids in swept if len(hf.enumerate_solutions(kg, p.atoms, oi)) <= limit]
-            over = [p for p, _ in swept if p not in dict(fine)]
-            counted = set()
-            for p, kids in fine:
+            over, counted = [], set()
+            for p, kids in swept:
+                if len(hf.enumerate_solutions(kg, p.atoms, oi)) > limit:
+                    over.append(p)
+                    continue
                 for child, count in kids.items():
                     assert count == true_support(kg, child, oi), hf.render_rule(child, kg)
                     assert child not in supported, hf.render_rule(child, kg)
                 counted.update(kids)
+                n_fine += 1
             for p in over:
                 for child in refine_closing(kg, p, config):
                     assert child in supported or child in counted
             n_over += len(over)
-            n_fine += len(fine)
         assert n_over > 0
         assert (n_fine > 0) == (limit > 0)
 

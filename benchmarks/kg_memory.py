@@ -3,9 +3,9 @@
 
 Builds a seeded random graph of 100,000 distinct facts over 10,000
 entities and 20 relations (random.Random(5)) and prints the traced MB and
-bytes per fact twice: right after construction, and again once
-relations_linking and fact_list have been called, which builds any index
-they make on first use.  The interners and the input fact set exist
+bytes per fact twice: right after construction, and again once a first
+column join (`index_join` of one atom) has built the int64 fact arrays
+that the column joins read, which are made on first use.  The interners and the input fact set exist
 before tracing starts, so only the graph's own structures count.
 
 Usage, from the repository root without installing the package:
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
-from hornforge import Interner, KnowledgeGraph
+from hornforge import Atom, Interner, KnowledgeGraph, var
 
 
 def random_facts(n_facts, n_entities, n_relations, seed):
@@ -29,8 +29,8 @@ def random_facts(n_facts, n_entities, n_relations, seed):
 
 
 def graph_memory(n_facts, n_entities, n_relations, seed=5):
-    """Traced bytes held by the graph after construction, and after
-    relations_linking and fact_list have been called."""
+    """Traced bytes held by the graph after construction, and after a
+    first column join."""
     entities, relations = Interner(), Interner()
     for i in range(n_entities):
         entities.intern(f"e{i}")
@@ -41,8 +41,7 @@ def graph_memory(n_facts, n_entities, n_relations, seed=5):
     try:
         kg = KnowledgeGraph(entities, relations, facts)
         built = tracemalloc.get_traced_memory()[0]
-        kg.relations_linking(0, 0)
-        kg.fact_list()
+        kg.index_join([Atom(0, var(0), var(1))])
         with_lazy = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -10,6 +10,10 @@ gathered at once with `np.repeat` offsets, and duplicates are dropped by
 a sort plus a neighbour comparison rather than by `np.unique`, which on
 numpy 2.x costs ten to fifty times as much as `np.sort` on the same int64
 keys; with it, a vectorized product would lose to a Python row loop.
+
+`sorted_unique` and `take_ranges` are not tied to CSR matrices: the
+column join in kg.py and the distinct head counts in kg.py and
+metrics.py use them too.
 """
 
 from __future__ import annotations
@@ -42,15 +46,21 @@ def csr_from_keys(keys, n):
     return indptr, keys % n
 
 
+def take_ranges(values, starts, lengths):
+    """values[starts[i] : starts[i] + lengths[i]] for every i, concatenated
+    in order."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.shape[0] else 0
+    # entry k of the output sits at starts[i] + (k - first output slot of i)
+    return values[np.repeat(starts - ends + lengths, lengths) + np.arange(total)]
+
+
 def _gather(indptr, cols, rows):
     """The columns of the given rows, concatenated in row order, and the
     length of each row."""
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.shape[0] else 0
-    # entry k of the output sits at starts[row] + (k - first output slot of row)
-    return cols[np.repeat(starts - ends + lengths, lengths) + np.arange(total)], lengths
+    return take_ranges(cols, starts, lengths), lengths
 
 
 def spgemm_bool(indptr_a, cols_a, indptr_b, cols_b):

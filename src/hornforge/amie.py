@@ -16,12 +16,14 @@ reads only there.
 
 Before a parent is refined, one witness sweep reads its full solutions
 and keeps only the dangling and closing atoms some solution realizes, so
-children without support are never built.  The rows come from
+children without support are never built.  The solutions are int64
+columns, one per variable: from the column join
 `KnowledgeGraph.index_join` for rules of one or two all-variable atoms
 without object identity, and from `metrics.projections` onto all of the
-rule's variables otherwise.  The same sweep also counts the support of
-each closing child (AMIE's count projection): the distinct head tuples
-of the rows that realize its atom.  The level loop carries that count to
+rule's variables otherwise.  The sweep is a few array calls per parent
+with no per-row Python loop, and it also counts the support of each
+closing child (AMIE's count projection): the distinct head keys of the
+rows that realize its atom.  The level loop carries that count to
 the child's evaluation; dangling and instantiated children get their
 support from `metrics.support`.  The sweep's one overrun point is past
 _WITNESS_LIMIT rows: it then prunes nothing and counts nothing for that
@@ -31,11 +33,11 @@ rules do not change.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import itemgetter
+from itertools import chain, combinations
+
+import numpy as np
 
 from .kg import KnowledgeGraph
 from .metrics import (
@@ -211,49 +213,40 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     child with support > 0 if some witness already realizes it, so blind
     children outside these are skipped without evaluation.  Only the
     slots of _slots are collected.  The witness rows are the rule's full
-    solutions: from `kg.index_join` when the rule's shape allows it and
-    object identity is off, and otherwise from `projections` onto all of
-    the rule's variables.  A closing atom adds no variable, so `closing`
-    maps each (r, a, b) to its child's support: the distinct head tuples
-    of the rows that realize r(a, b).
+    solutions, one int64 column per variable: from `kg.index_join` when
+    the rule's shape allows it and object identity is off, and otherwise
+    from `projections` onto all of the rule's variables, converted once.
+    A closing atom adds no variable, so `closing` maps each (r, a, b) to
+    its child's support: the distinct head keys of the rows that realize
+    r(a, b), all closing pairs counted in one `kg.linked_head_counts`
+    call.  Each dangling variable is one `kg.incident_relations` call.
     Returns (None, None) when the rows overrun _WITNESS_LIMIT.
     """
     pairs_needed, dangling_vars, _ = _slots(rule, config.max_len)
-    joined = None if config.object_identity else kg.index_join(rule.atoms)
+    joined = None if config.object_identity else kg.index_join(rule.atoms, _WITNESS_LIMIT)
     if joined is None:
         cols = rule.variables()
         rows = projections(kg, rule.atoms, cols, None, config.object_identity, _WITNESS_LIMIT)
+        columns = None
+        if rows is not None:
+            flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * len(cols))
+            columns = flat.reshape(-1, len(cols)).T
     else:
-        cols, rows = joined
-    head_of = itemgetter(*(cols.index(v) for v in rule.head_variables()))
-    # per closing pair: relation -> head tuples of the rows realizing it
-    heads = {pair: defaultdict(set) for pair in pairs_needed}
-    probe_pairs = [(cols.index(a), cols.index(b), heads[a, b]) for a, b in pairs_needed]
-    dang_slots = [(v, cols.index(v)) for v in dangling_vars]
-    relations_linking = kg.relations_linking
-    val_sets = {v: set() for v in dangling_vars}
-    n = 0
-    for row in () if rows is None else rows:
-        n += 1
-        if n > _WITNESS_LIMIT:
-            break
-        head = head_of(row)
-        for ia, ib, by_relation in probe_pairs:
-            for r in relations_linking(row[ia], row[ib]):
-                by_relation[r].add(head)
-        for v, iv in dang_slots:
-            val_sets[v].add(row[iv])
-    if rows is None or n > _WITNESS_LIMIT:
+        cols, columns = joined
+        columns = None if columns is None else np.stack(columns)
+    if columns is None:
         return None, None  # witness overrun: prune nothing, count nothing
-    closing = {
-        (r, a, b): len(hs)
-        for (a, b), by_relation in heads.items()
-        for r, hs in by_relation.items()
-    }
+    at = {v: i for i, v in enumerate(cols)}
+    hvars = rule.head_variables()
+    heads = columns[at[hvars[0]]] * len(kg.entities) + columns[at[hvars[-1]]]
+    closing = {}
+    if pairs_needed:
+        a, b = ([at[v] for v in side] for side in zip(*pairs_needed))
+        counts = kg.linked_head_counts(columns[a], columns[b], heads)
+        closing = {(r, *pairs_needed[i]): count for (i, r), count in counts.items()}
     dangling = set()
-    for v, vals in val_sets.items():
-        out_rels = {r for val in vals for r, _ in kg.out_edges(val)}
-        in_rels = {r for val in vals for r, _ in kg.in_edges(val)}
+    for v in dangling_vars:
+        out_rels, in_rels = kg.incident_relations(columns[at[v]])
         dangling.update((r, v, True) for r in out_rels)
         dangling.update((r, v, False) for r in in_rels)
     return closing, dangling

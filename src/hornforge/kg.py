@@ -5,6 +5,15 @@ sorted once at construction, and every index is built from that sorted
 list, so iteration order is deterministic for a given label input set.
 Only this module reads the index layout; its two short joins,
 `index_join` and `semijoin_count`, read each atom through one `_probe`.
+
+The dict and set indexes are built in `__init__`.  The column join
+`index_join`, the two vectorized lookups of the top-down miner's witness
+sweep (`linked_head_counts`, `incident_relations`) and the PCA filter's
+`has_endpoints` read compact int64 arrays instead (`_FactArrays`): each
+relation's facts sorted by subject and by object, and every fact's
+subject * n + object key, sorted, with its relation.  They are built on
+the first call that needs them, never at load time, so a graph that is
+only loaded or only queried through the dicts never pays for them.
 """
 
 from __future__ import annotations
@@ -14,6 +23,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from ._kernels import sorted_unique, take_ranges
 from .rules import Atom
 
 
@@ -77,6 +89,73 @@ class RelationStats:
         return Fraction(self.distinct_objects, self.fact_count)
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, for multiplicative hashing
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _in_sorted(haystack, needles):
+    """Whether each of the needles occurs in the sorted array haystack."""
+    if not haystack.size:
+        return np.zeros(needles.shape, bool)
+    return haystack[np.minimum(np.searchsorted(haystack, needles), haystack.size - 1)] == needles
+
+
+class _FactArrays:
+    """Read-only int64 arrays over a graph's facts, for the column joins.
+
+    `by_subject` is (subjects, objects) of every fact in (relation,
+    subject, object) order and `by_object` the same two columns in
+    (relation, object, subject) order; relation r's facts sit at
+    start[r]:start[r + 1] in both.  `pair_keys` holds subject * n + object
+    of every fact, sorted, and `pair_relations` the fact's relation at the
+    same position, ascending among equal keys.  `pair_filter` marks the
+    hash slots of the pair keys, at least eight slots per fact, so that
+    most keys that are no fact's skip the binary search.
+    """
+
+    __slots__ = (
+        "n", "start", "by_subject", "by_object", "pair_keys", "pair_relations", "shift", "pair_filter"
+    )
+
+    def __init__(self, pairs, n_entities):
+        """From each relation's (subject, object) list in sorted order."""
+        n = self.n = n_entities
+        counts = np.fromiter(map(len, pairs), np.int64, len(pairs))
+        self.start = _read_only(np.concatenate(([0], np.cumsum(counts))))
+        total = int(self.start[-1])
+        s = np.fromiter((s for facts in pairs for s, _ in facts), np.int64, total)
+        o = np.fromiter((o for facts in pairs for _, o in facts), np.int64, total)
+        self.by_subject = (_read_only(s), _read_only(o))
+        r = np.repeat(np.arange(len(pairs)), counts)
+        keys = s * n + o
+        order = np.argsort(keys, kind="stable")  # equal keys keep relation order
+        self.pair_keys = _read_only(keys[order])
+        self.pair_relations = _read_only(r[order])
+        del keys, order
+        bits = max(10, (8 * total).bit_length())
+        self.shift = np.uint64(64 - bits)
+        self.pair_filter = np.zeros(1 << bits, bool)
+        self.pair_filter[self.pair_hash(self.pair_keys)] = True
+        _read_only(self.pair_filter)
+        order = np.argsort(r * n + o, kind="stable")
+        self.by_object = (_read_only(s[order]), _read_only(o[order]))
+
+    def pair_hash(self, keys):
+        """The `pair_filter` slot of each int64 pair key."""
+        return (keys.view(np.uint64) * _GOLDEN) >> self.shift
+
+    def walk(self, r, slot):
+        """(subjects, objects) of relation r's facts, sorted by subject
+        when slot is 0 and by object when it is 1."""
+        lo, hi = self.start[r], self.start[r + 1]
+        s, o = self.by_object if slot else self.by_subject
+        return s[lo:hi], o[lo:hi]
+
+
 class KnowledgeGraph:
     """Immutable fact store with per-relation and per-entity indexes."""
 
@@ -99,7 +178,7 @@ class KnowledgeGraph:
             self._in_edges.setdefault(o, []).append((r, s))
         # membership sets hold the tuples of _pairs, not copies of them
         self._pair_sets = [set(pairs) for pairs in self._pairs]
-        self._pair_rels = None
+        self._arrays = None
 
     @classmethod
     def from_label_triples(cls, triples):
@@ -144,17 +223,6 @@ class KnowledgeGraph:
 
     def in_edges(self, e: int):
         return self._in_edges.get(e, ())
-
-    def relations_linking(self, s: int, o: int):
-        """Relations r with (s, r, o) a fact; index built on first use."""
-        if self._pair_rels is None:
-            # keyed by the tuples of _pairs; relations ascend within a key
-            idx = {}
-            for r, pairs in enumerate(self._pairs):
-                for pair in pairs:
-                    idx[pair] = idx.get(pair, ()) + (r,)
-            self._pair_rels = idx
-        return self._pair_rels.get((s, o), ())
 
     def fact_list(self):
         """All facts as a sorted tuple; stable sampling base."""
@@ -226,32 +294,107 @@ class KnowledgeGraph:
             return s, cols.index(o), self._obj_to_sub[r]
         return None
 
-    def index_join(self, atoms):
-        """(variables, rows) of a conjunction of one or two all-variable
+    def _fact_arrays(self) -> _FactArrays:
+        if self._arrays is None:
+            self._arrays = _FactArrays(self._pairs, len(self.entities))
+        return self._arrays
+
+    def index_join(self, atoms, cutoff=None):
+        """(variables, columns) of a conjunction of one or two all-variable
         atoms that share a variable, each atom over two distinct variables:
-        every solution as a tuple of values in `variables` order, joined
-        straight off the fact indexes and yielded lazily.  None for any
-        other shape."""
+        every solution once, as one int64 array of values per variable in
+        `variables` order.  None for any other shape.  When cutoff is given
+        and the solutions number more than cutoff, columns is None; that is
+        decided from the lookup lengths, before any column is allocated.
+
+        The atom with fewer facts is walked in the order of the slot the
+        other atom is looked up by, so the `searchsorted` needles arrive
+        sorted."""
         if not 1 <= len(atoms) <= 2:
             return None
         a0, a1 = atoms[0], atoms[-1]
         if len(self._pairs[a1.relation]) < len(self._pairs[a0.relation]):
-            a0, a1 = a1, a0  # iterate the smaller fact list
+            a0, a1 = a1, a0  # walk the smaller fact list
         cols = (a0.subject.index, a0.object.index)
         if self._probe(a0, cols) is None:  # not over two distinct variables
             return None
-        rows = self._pairs[a0.relation]
+        arrays = self._fact_arrays()
         if len(atoms) == 1:
-            return cols, rows
+            first = arrays.walk(a0.relation, 0)
+            return cols, None if cutoff is not None and first[0].size > cutoff else first
         probe = self._probe(a1, cols)
         if probe is None:
             return None
-        new, at, idx = probe
+        new, at, _ = probe
         if new is None:
-            # the second atom adds no variable: filter the first's facts by a pair probe
+            # the second atom adds no variable: keep the first's facts that are its facts
             s_slot, o_slot = at
-            return cols, (row for row in rows if (row[s_slot], row[o_slot]) in idx)
-        return cols + (new,), (row + (v,) for row in rows for v in idx.get(row[at], ()))
+            first = arrays.walk(a0.relation, s_slot)
+            keys = first[s_slot] * arrays.n + first[o_slot]
+            s1, o1 = arrays.walk(a1.relation, 0)
+            hit = _in_sorted(s1 * arrays.n + o1, keys)
+            if cutoff is not None and np.count_nonzero(hit) > cutoff:
+                return cols, None
+            return cols, (first[0][hit], first[1][hit])
+        first = arrays.walk(a0.relation, at)
+        bound_is_subject = a1.object.index == new
+        s1, o1 = arrays.walk(a1.relation, 0 if bound_is_subject else 1)
+        sorted1, other1 = (s1, o1) if bound_is_subject else (o1, s1)
+        lo = np.searchsorted(sorted1, first[at], "left")
+        lengths = np.searchsorted(sorted1, first[at], "right") - lo
+        if cutoff is not None and int(lengths.sum()) > cutoff:
+            return cols + (new,), None
+        return cols + (new,), (
+            np.repeat(first[0], lengths),
+            np.repeat(first[1], lengths),
+            take_ranges(other1, lo, lengths),
+        )
+
+    def linked_head_counts(self, a, b, heads):
+        """{(i, r): the number of distinct heads[j] over the j at which
+        (a[i, j], r, b[i, j]) is a fact}, for every row i of a and b and
+        every relation r with at least one such j.  a and b are k x m int64
+        arrays, heads a non-negative int64 array of length m."""
+        arrays = self._fact_arrays()
+        facts, n_rel = arrays.pair_keys, arrays.start.size - 1
+        keys = (a * arrays.n + b).ravel()
+        at = np.flatnonzero(arrays.pair_filter[arrays.pair_hash(keys)])
+        keys = keys[at]
+        lo = np.searchsorted(facts, keys)
+        # when facts is empty the filter marks no slot, so keys is empty too
+        hit = facts[np.minimum(lo, facts.size - 1)] == keys
+        at, keys, lo = at[hit], keys[hit], lo[hit]
+        if not at.size:
+            return {}
+        lengths = np.searchsorted(facts, keys, "right") - lo
+        row, j = np.divmod(at, heads.size)
+        linked = np.repeat(row * n_rel, lengths) + take_ranges(arrays.pair_relations, lo, lengths)
+        span = int(heads.max()) + 1
+        if a.shape[0] * n_rel * span >= 2**63:
+            raise OverflowError("linked_head_counts: (row, relation, head) keys overflow int64")
+        counts = np.bincount(sorted_unique(linked * span + np.repeat(heads[j], lengths)) // span)
+        linked = np.flatnonzero(counts)
+        return {divmod(i, n_rel): c for i, c in zip(linked.tolist(), counts[linked].tolist())}
+
+    def incident_relations(self, values):
+        """(relations with a fact whose subject is among `values`, relations
+        with a fact whose object is), each ascending; `values` is an int64
+        array of entity ids."""
+        arrays = self._fact_arrays()
+        present = np.zeros(arrays.n, bool)
+        present[values] = True
+        out = []
+        for column in arrays.by_subject:
+            hits = np.zeros(column.size + 1, np.int64)
+            np.cumsum(present[column], out=hits[1:])
+            out.append(np.flatnonzero(hits[arrays.start[1:]] > hits[arrays.start[:-1]]).tolist())
+        return tuple(out)
+
+    def has_endpoints(self, r: int, values, side: str):
+        """Boolean array: whether each of the int64 `values` is the subject
+        (side "subject") or the object (side "object") of a fact of r."""
+        slot = side != "subject"
+        return _in_sorted(self._fact_arrays().walk(r, slot)[slot], values)
 
     def semijoin_count(self, head, body):
         """Support off the fact indexes: the head facts for which the body

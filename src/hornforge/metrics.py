@@ -10,17 +10,18 @@ denominators, rule application in predict.py and the top-down miner's
 witness values all go through `projections`.  The graph's own index joins
 cover hot shapes besides: support of a body of at most two variable-only
 atoms is `KnowledgeGraph.semijoin_count`, and both denominators of a body
-that `KnowledgeGraph.index_join` covers count the head-variable tuples of
-its rows.  The matrix oracle in matrix.py recomputes the same quantities
-for chain rules by a separate route and must always agree.
+that `KnowledgeGraph.index_join` covers count the distinct head keys of
+its columns, the PCA filter a mask on one of them.  The matrix oracle in
+matrix.py recomputes the same quantities for chain rules by a separate
+route and must always agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
+from ._kernels import sorted_unique
 from .kg import KnowledgeGraph, _compile, _ext_candidates
 from .rules import Rule, is_connected, is_safe
 
@@ -216,13 +217,14 @@ def _body_size(kg, rule, direction, object_identity, cutoff):
     """Distinct head-variable tuples whose body is satisfiable, restricted
     by the PCA filter in `direction` unless it is None.  A body that
     kg.index_join covers and that binds every head variable is counted off
-    the join's rows; None when cutoff is given and exceeded."""
+    the join's columns, the PCA filter a mask on its head-variable column;
+    None when cutoff is given and exceeded."""
     hvars = rule.head_variables()
     joined = None if object_identity or not hvars else kg.index_join(rule.body)
     if joined is not None and hvars[0] in joined[0] and hvars[-1] in joined[0]:
-        cols, rows = joined  # the rule is non-empty, safe and connected
+        column = dict(zip(*joined))  # the rule is non-empty, safe and connected
     else:
-        rows = None
+        column = None
         if not rule.body:
             raise ValueError("confidence undefined for empty body")
         if not is_connected(rule):
@@ -230,22 +232,20 @@ def _body_size(kg, rule, direction, object_identity, cutoff):
         if not is_safe(rule):
             raise ValueError("unsafe rule: every head variable must occur in the body")
     chosen = None if direction is None else pca_direction(kg, rule, direction)
-    keep = None if chosen is None else _pca_filter(kg, rule.head, chosen, hvars)
-    if rows is None:
+    if column is None:
+        keep = None if chosen is None else _pca_filter(kg, rule.head, chosen, hvars)
         sols = projections(kg, rule.body, hvars, None, object_identity, cutoff, keep)
         return None if sols is None else len(sols)
     # a lone head variable is read twice: its (v, v) tuples count as (v,)
-    projs = map(itemgetter(cols.index(hvars[0]), cols.index(hvars[-1])), rows)
-    if keep is not None:
-        projs = filter(keep, projs)
-    if cutoff is None:
-        return len(set(projs))
-    seen = set()
-    for proj in projs:
-        seen.add(proj)
-        if len(seen) > cutoff:
-            return None
-    return len(seen)
+    keys = column[hvars[0]] * len(kg.entities) + column[hvars[-1]]
+    if chosen is not None:
+        r, t = rule.head.relation, (rule.head.subject if chosen == "subject" else rule.head.object)
+        if t.is_var:
+            keys = keys[kg.has_endpoints(r, column[t.index], chosen)]
+        elif not (kg.has_subject if chosen == "subject" else kg.has_object)(r, t.index):
+            return 0
+    size = sorted_unique(keys).size
+    return None if cutoff is not None and size > cutoff else size
 
 
 def cwa_body_size(kg, rule, object_identity=False, cutoff=None):

@@ -5,11 +5,13 @@ import pathlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hornforge import (
     Atom,
     GraphParseError,
+    Interner,
     KnowledgeGraph,
     adjacency_matrix,
     complete,
@@ -132,22 +134,99 @@ class TestIndexes:
                 assert list(kg.out_edges(e)) == sorted((r, o) for s, r, o in facts if s == e)
                 # in fact order: by subject, then relation
                 assert list(kg.in_edges(e)) == [(r, s) for s, r, o in facts if o == e]
-                for o in entities:
-                    assert kg.relations_linking(e, o) == tuple(r for r in relations if kg.has_pair(r, e, o))
 
+    def test_linked_head_counts(self):
+        # every (e, o) pair twice per row, in two row orders, with few
+        # distinct head keys so that rows repeat heads: the count is of
+        # distinct heads, not of rows
+        rng = random.Random(30)
+        for _ in range(30):
+            kg = random_kg(rng, max_entities=10, max_relations=5, max_facts=60)
+            entities, relations = range(len(kg.entities)), range(len(kg.relations))
+            pairs = list(itertools.product(entities, repeat=2)) * 2
+            rng.shuffle(pairs)
+            table = [pairs, pairs[::-1]]
+            a = np.array([[e for e, _ in row] for row in table], np.int64)
+            b = np.array([[o for _, o in row] for row in table], np.int64)
+            heads = [rng.randrange(5) for _ in pairs]
+            brute = {}
+            for i, row in enumerate(table):
+                for r in relations:
+                    linked = {h for (e, o), h in zip(row, heads) if kg.has_pair(r, e, o)}
+                    if linked:
+                        brute[i, r] = len(linked)
+            assert kg.linked_head_counts(a, b, np.array(heads, np.int64)) == brute
+            empty = np.empty((1, 0), np.int64)
+            assert kg.linked_head_counts(empty, empty, np.empty(0, np.int64)) == {}
+
+    def test_incident_relations(self):
+        rng = random.Random(32)
+        for _ in range(30):
+            kg = random_kg(rng, max_entities=10, max_relations=5, max_facts=60)
+            facts = kg.fact_list()
+            values = [rng.randrange(len(kg.entities)) for _ in range(rng.randint(0, 6))]
+            out_rels, in_rels = kg.incident_relations(np.array(values, np.int64))
+            assert out_rels == sorted({r for s, r, o in facts if s in values})
+            assert in_rels == sorted({r for s, r, o in facts if o in values})
+
+    def test_has_endpoints(self):
+        rng = random.Random(33)
+        for _ in range(30):
+            kg = random_kg(rng, max_entities=10, max_relations=5, max_facts=60)
+            values = np.array([rng.randrange(len(kg.entities)) for _ in range(20)], np.int64)
+            for r in range(len(kg.relations)):
+                subjects, objects = kg.has_endpoints(r, values, "subject"), kg.has_endpoints(r, values, "object")
+                assert subjects.tolist() == [kg.has_subject(r, v) for v in values.tolist()]
+                assert objects.tolist() == [kg.has_object(r, v) for v in values.tolist()]
+
+
+    @staticmethod
+    def join_rows(kg, atoms, cutoff=None):
+        """index_join's columns as sorted rows, each as a tuple in its
+        variables' order; None when the columns are cut off."""
+        cols, columns = kg.index_join(atoms, cutoff)
+        if columns is None:
+            return cols, None
+        assert len(columns) == len(cols)
+        assert all(c.dtype == np.int64 and c.size == columns[0].size for c in columns)
+        return cols, sorted(zip(*(c.tolist() for c in columns)))
+
+    @staticmethod
+    def brute_rows(kg, atoms, cols):
+        """Every substitution of the atoms' variables that makes them all
+        facts, as a tuple in `cols` order, sorted."""
+        vs = sorted({v for atom in atoms for v in atom.variables()})
+        assert sorted(cols) == vs
+        subs = [dict(zip(vs, c)) for c in itertools.product(range(len(kg.entities)), repeat=len(vs))]
+        return sorted(
+            tuple(sub[v] for v in cols)
+            for sub in subs
+            if all(kg.has_pair(t.relation, sub[t.subject.index], sub[t.object.index]) for t in atoms)
+        )
+
+    A, B, C = var(0), var(1), var(2)
+    ACCEPTED = [
+        [(0, A, B)],
+        [(0, B, A)],
+        [(0, A, C), (1, C, B)],
+        [(0, A, C), (1, B, C)],
+        [(0, C, A), (1, C, B)],
+        [(0, C, A), (1, B, C)],
+        [(0, A, B), (1, A, C)],
+        [(0, A, B), (1, B, A)],
+    ]
+    # both atoms over one relation: a chain, a fork, a sink, a closed pair
+    # and a repeated atom
+    SELF_JOINS = [
+        [(0, A, C), (0, C, B)],
+        [(0, C, A), (0, C, B)],
+        [(0, A, C), (0, B, C)],
+        [(0, A, B), (0, B, A)],
+        [(0, A, B), (0, A, B)],
+    ]
 
     def test_index_join_rows_are_the_solutions(self):
-        a, b, c = var(0), var(1), var(2)
-        accepted = [
-            [(0, a, b)],
-            [(0, b, a)],
-            [(0, a, c), (1, c, b)],
-            [(0, a, c), (1, b, c)],
-            [(0, c, a), (1, c, b)],
-            [(0, c, a), (1, b, c)],
-            [(0, a, b), (1, a, c)],
-            [(0, a, b), (1, b, a)],
-        ]
+        a, b, c = self.A, self.B, self.C
         rejected = [
             [],
             [(0, a, b), (1, b, c), (0, c, a)],
@@ -158,23 +237,50 @@ class TestIndexes:
         rng = random.Random(31)
         for _ in range(20):
             kg = random_kg(rng, max_entities=6, max_relations=2, max_facts=30)
-            entities, n_rel = range(len(kg.entities)), len(kg.relations)
-            for shape in accepted:
+            n_rel = len(kg.relations)
+            for shape in self.ACCEPTED + self.SELF_JOINS:
                 atoms = [Atom(r % n_rel, s, o) for r, s, o in shape]
-                cols, rows = kg.index_join(atoms)
-                rows = [frozenset(zip(cols, row)) for row in rows]
-                vs = sorted({v for atom in atoms for v in atom.variables()})
-                assert sorted(cols) == vs
-                subs = [dict(zip(vs, c)) for c in itertools.product(entities, repeat=len(vs))]
-                brute = {
-                    frozenset(sub.items())
-                    for sub in subs
-                    if all(kg.has_pair(t.relation, sub[t.subject.index], sub[t.object.index])
-                           for t in atoms)
-                }
-                assert len(rows) == len(set(rows)) and set(rows) == brute
+                cols, rows = self.join_rows(kg, atoms)
+                assert rows == self.brute_rows(kg, atoms, cols)
             for shape in rejected:
                 assert kg.index_join([Atom(r % n_rel, s, o) for r, s, o in shape]) is None
+
+    def test_index_join_over_a_relation_without_facts(self):
+        entities, relations = Interner(), Interner()
+        for label in ("e0", "e1", "e2"):
+            entities.intern(label)
+        p, q, empty = (relations.intern(label) for label in ("p", "q", "empty"))
+        kg = KnowledgeGraph(entities, relations, {(0, p, 1), (1, q, 2), (1, p, 1)})
+        for shape in self.ACCEPTED + self.SELF_JOINS:
+            for second in (empty, q):
+                atoms = [Atom(r, s, o) for r, (_, s, o) in zip((empty, second), shape)]
+                cols, rows = self.join_rows(kg, atoms)
+                assert rows == [] == self.brute_rows(kg, atoms, cols)
+                assert self.join_rows(kg, atoms, 0) == (cols, [])
+        a, b = np.array([[0, 1, 1]], np.int64), np.array([[1, 2, 1]], np.int64)
+        assert kg.linked_head_counts(a, b, np.zeros(3, np.int64)) == {(0, p): 1, (0, q): 1}
+        assert kg.incident_relations(np.array([0, 1, 2], np.int64)) == ([p, q], [p, q])
+        assert not kg.has_endpoints(empty, np.array([0, 1, 2], np.int64), "subject").any()
+
+    def test_index_join_cutoff(self):
+        # columns are None exactly when the rows number more than cutoff
+        rng = random.Random(34)
+        cut = kept = 0
+        for _ in range(20):
+            kg = random_kg(rng, max_entities=6, max_relations=2, max_facts=30)
+            n_rel = len(kg.relations)
+            for shape in self.ACCEPTED + self.SELF_JOINS:
+                atoms = [Atom(r % n_rel, s, o) for r, s, o in shape]
+                cols, rows = self.join_rows(kg, atoms)
+                for cutoff in {0, len(rows) - 1, len(rows), len(rows) + 1} - {-1}:
+                    got = self.join_rows(kg, atoms, cutoff)
+                    if len(rows) > cutoff:
+                        assert got == (cols, None)
+                        cut += 1
+                    else:
+                        assert got == (cols, rows)
+                        kept += 1
+        assert cut > 0 and kept > 0
 
 
 class TestRelationId:

@@ -48,11 +48,11 @@ def csr_from_keys(keys, n):
 
 def take_ranges(values, starts, lengths):
     """values[starts[i] : starts[i] + lengths[i]] for every i, concatenated
-    in order."""
-    ends = np.cumsum(lengths)
+    in order; lengths is an int64 array."""
+    ends = lengths.cumsum()
     total = int(ends[-1]) if ends.shape[0] else 0
     # entry k of the output sits at starts[i] + (k - first output slot of i)
-    return values[np.repeat(starts - ends + lengths, lengths) + np.arange(total)]
+    return values[(starts - ends + lengths).repeat(lengths) + np.arange(total)]
 
 
 def _gather(indptr, cols, rows):

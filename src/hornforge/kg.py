@@ -3,17 +3,23 @@
 Facts are (subject, relation, object) triples of interned ids.  They are
 sorted once at construction, and every index is built from that sorted
 list, so iteration order is deterministic for a given label input set.
-Only this module reads the index layout; its two short joins,
-`index_join` and `semijoin_count`, read each atom through one `_probe`.
+Only this module reads the index layout; its one short join,
+`index_join`, reads each atom through `_probe`.
 
 The dict and set indexes are built in `__init__`.  The column join
 `index_join`, the two vectorized lookups of the top-down miner's witness
-sweep (`linked_head_counts`, `incident_relations`) and the PCA filter's
-`has_endpoints` read compact int64 arrays instead (`_FactArrays`): each
-relation's facts sorted by subject and by object, and every fact's
-subject * n + object key, sorted, with its relation.  They are built on
-the first call that needs them, never at load time, so a graph that is
-only loaded or only queried through the dicts never pays for them.
+sweep (`linked_head_counts`, `incident_relations`), support's head-fact
+count `count_facts_among` and the PCA filter's `has_endpoints` read
+compact int64 arrays instead (`_FactArrays`): each relation's facts
+sorted by subject and by object, and every fact's subject * n + object
+key, sorted, with its relation.  They are built on the first call that
+needs them, never at load time, so a graph that is only loaded or only
+queried through the dicts never pays for them.
+
+`index_join` and `count_facts_among` run once per rule, often on a few
+dozen facts, so they call ndarray methods (`a.searchsorted`, `a.repeat`)
+rather than the `np.` functions, which add about a microsecond of
+dispatch each: that is most of a call on a small graph.
 """
 
 from __future__ import annotations
@@ -101,7 +107,7 @@ def _in_sorted(haystack, needles):
     """Whether each of the needles occurs in the sorted array haystack."""
     if not haystack.size:
         return np.zeros(needles.shape, bool)
-    return haystack[np.minimum(np.searchsorted(haystack, needles), haystack.size - 1)] == needles
+    return haystack[np.minimum(haystack.searchsorted(needles), haystack.size - 1)] == needles
 
 
 class _FactArrays:
@@ -276,23 +282,18 @@ class KnowledgeGraph:
             yield merged
 
     def _probe(self, atom, cols):
-        """(new, at, idx): how an all-variable atom over two distinct
-        variables is read once the variables in `cols` are bound; None for
-        any other atom or one binding nothing in `cols`.  Both bound: new is
-        None, at their two slots (subject first), idx the pair set.  One
-        bound: new is the other variable, at the bound one's slot, idx the
-        dict from its value to new's values."""
+        """(new, at): how an all-variable atom over two distinct variables
+        is read once the variables in `cols` are bound; None for any other
+        atom or one binding nothing in `cols`.  Both bound: new is None and
+        at their two slots, subject first.  One bound: new is the other
+        variable and at the bound one's slot."""
         s, o = atom.subject, atom.object
         if not (s.is_var and o.is_var) or s.index == o.index:
             return None
-        s, o, r = s.index, o.index, atom.relation
+        s, o = s.index, o.index
         if s in cols:
-            if o in cols:
-                return None, (cols.index(s), cols.index(o)), self._pair_sets[r]
-            return o, cols.index(s), self._sub_to_obj[r]
-        if o in cols:
-            return s, cols.index(o), self._obj_to_sub[r]
-        return None
+            return (None, (cols.index(s), cols.index(o))) if o in cols else (o, cols.index(s))
+        return (s, cols.index(o)) if o in cols else None
 
     def _fact_arrays(self) -> _FactArrays:
         if self._arrays is None:
@@ -325,7 +326,7 @@ class KnowledgeGraph:
         probe = self._probe(a1, cols)
         if probe is None:
             return None
-        new, at, _ = probe
+        new, at = probe
         if new is None:
             # the second atom adds no variable: keep the first's facts that are its facts
             s_slot, o_slot = at
@@ -340,13 +341,13 @@ class KnowledgeGraph:
         bound_is_subject = a1.object.index == new
         s1, o1 = arrays.walk(a1.relation, 0 if bound_is_subject else 1)
         sorted1, other1 = (s1, o1) if bound_is_subject else (o1, s1)
-        lo = np.searchsorted(sorted1, first[at], "left")
-        lengths = np.searchsorted(sorted1, first[at], "right") - lo
+        lo = sorted1.searchsorted(first[at], "left")
+        lengths = sorted1.searchsorted(first[at], "right") - lo
         if cutoff is not None and int(lengths.sum()) > cutoff:
             return cols + (new,), None
         return cols + (new,), (
-            np.repeat(first[0], lengths),
-            np.repeat(first[1], lengths),
+            first[0].repeat(lengths),
+            first[1].repeat(lengths),
             take_ranges(other1, lo, lengths),
         )
 
@@ -390,65 +391,31 @@ class KnowledgeGraph:
             out.append(np.flatnonzero(hits[arrays.start[1:]] > hits[arrays.start[:-1]]).tolist())
         return tuple(out)
 
+    def count_facts_among(self, r: int, subjects=None, objects=None) -> int:
+        """The number of facts of r whose subject is among the int64 array
+        `subjects` and whose object is among `objects`; None leaves that
+        side free.  Given both, the arrays are read row by row: a fact
+        (s, o) counts when (s, o) is (subjects[i], objects[i]) for some i.
+        The facts are the needles, so each counts once however often its
+        values repeat."""
+        if subjects is None and objects is None:
+            return len(self._pairs[r])
+        arrays = self._fact_arrays()
+        if objects is None:
+            values, needles = subjects.copy(), arrays.walk(r, 0)[0]
+        elif subjects is None:
+            values, needles = objects.copy(), arrays.walk(r, 1)[1]
+        else:
+            s, o = arrays.walk(r, 0)
+            values, needles = subjects * arrays.n + objects, s * arrays.n + o
+        values.sort()
+        return int(np.count_nonzero(_in_sorted(values, needles)))
+
     def has_endpoints(self, r: int, values, side: str):
         """Boolean array: whether each of the int64 `values` is the subject
         (side "subject") or the object (side "object") of a fact of r."""
         slot = side != "subject"
         return _in_sorted(self._fact_arrays().walk(r, slot)[slot], values)
-
-    def semijoin_count(self, head, body):
-        """Support off the fact indexes: the head facts for which the body
-        has a solution.  None unless the head is over two distinct variables
-        and `_probe` reads each of at most two body atoms against them.  Two
-        atoms adding the same variable walk the shorter candidate list per
-        head fact and probe the other atom's pair set up to the first hit;
-        otherwise each atom is one membership test per head fact."""
-        hs, ho = head.subject, head.object
-        if len(body) > 2 or not (hs.is_var and ho.is_var) or hs.index == ho.index:
-            return None
-        cols = (hs.index, ho.index)
-        probes = [self._probe(atom, cols) for atom in body]
-        if None in probes:
-            return None
-        pairs = self._pairs[head.relation]
-
-        if len(probes) == 2 and probes[0][0] == probes[1][0] is not None:
-            (shared, b0, idx0), (_, b1, idx1) = probes
-            a0, a1 = body
-            ps0, zs0 = self._pair_sets[a0.relation], a0.subject.index == shared
-            ps1, zs1 = self._pair_sets[a1.relation], a1.subject.index == shared
-            count = 0
-            for f in pairs:
-                c0 = idx0.get(f[b0])
-                if c0 is None:
-                    continue
-                c1 = idx1.get(f[b1])
-                if c1 is None:
-                    continue
-                if len(c0) <= len(c1):
-                    zs, cand, v, ps = zs1, c0, f[b1], ps1
-                else:
-                    zs, cand, v, ps = zs0, c1, f[b0], ps0
-                if zs:
-                    for z in cand:
-                        if (z, v) in ps:
-                            count += 1
-                            break
-                else:
-                    for z in cand:
-                        if (v, z) in ps:
-                            count += 1
-                            break
-            return count
-
-        hits = pairs
-        for new, at, idx in probes:
-            if new is None:
-                si, oi = at
-                hits = [f for f in hits if (f[si], f[oi]) in idx]
-            else:
-                hits = [f for f in hits if f[at] in idx]
-        return len(hits)
 
     def select_relevant_subgraph(self, head_relation, depth: int) -> "KnowledgeGraph":
         """Facts induced by entities within depth-1 relation hops of the

@@ -7,11 +7,12 @@ do the joining: `_satisfiable` answers whether a conjunction has a
 solution under a binding, and `projections` lists the distinct
 projections of its solutions onto chosen variables.  The generic
 denominators, rule application in predict.py and the top-down miner's
-witness values all go through `projections`.  The graph's own index joins
-cover hot shapes besides: support of a body of at most two variable-only
-atoms is `KnowledgeGraph.semijoin_count`, and both denominators of a body
-that `KnowledgeGraph.index_join` covers count the distinct head keys of
-its columns, the PCA filter a mask on one of them.  The matrix oracle in
+witness values all go through `projections`.  The graph's one column
+join, `KnowledgeGraph.index_join`, covers hot shapes besides: for a body
+it covers, support counts the head facts whose head-variable values occur
+in its columns (`KnowledgeGraph.count_facts_among`), and both
+denominators count the distinct head keys of its columns, the PCA filter
+a mask on one of them.  The matrix oracle in
 matrix.py recomputes the same quantities for chain rules by a separate
 route and must always agree.
 """
@@ -182,12 +183,24 @@ def _bind_head_fact(head, s, o):
 # --- core measures --------------------------------------------------------
 
 
+def _body_columns(kg, rule, object_identity):
+    """{variable: int64 column} of kg.index_join over the rule's body; None
+    under object identity or for a body index_join does not cover."""
+    joined = None if object_identity else kg.index_join(rule.body)
+    return None if joined is None else dict(zip(*joined))
+
+
 def support(kg: KnowledgeGraph, rule: Rule, object_identity: bool = False) -> int:
-    """Distinct head substitutions with the head a fact and the body satisfiable."""
-    if not object_identity:
-        fast = kg.semijoin_count(rule.head, rule.body)
-        if fast is not None:
-            return fast  # each body atom holds a head variable: the rule is connected
+    """Distinct head substitutions with the head a fact and the body
+    satisfiable.  For a head over two distinct variables, an empty body
+    and one kg.index_join covers are counted off the graph's arrays."""
+    hs, ho, r = rule.head.subject, rule.head.object, rule.head.relation
+    if not object_identity and hs.is_var and ho.is_var and hs.index != ho.index:
+        # an empty body leaves both head variables free; a covered body is
+        # connected, so one head variable among its columns connects the rule
+        column = _body_columns(kg, rule, object_identity) if rule.body else {}
+        if column is not None and (not rule.body or hs.index in column or ho.index in column):
+            return kg.count_facts_among(r, column.get(hs.index), column.get(ho.index))
     if not is_connected(rule):
         raise ValueError("disconnected rule")
     catoms = tuple(_compile(a) for a in rule.body)
@@ -220,10 +233,9 @@ def _body_size(kg, rule, direction, object_identity, cutoff):
     the join's columns, the PCA filter a mask on its head-variable column;
     None when cutoff is given and exceeded."""
     hvars = rule.head_variables()
-    joined = None if object_identity or not hvars else kg.index_join(rule.body)
-    if joined is not None and hvars[0] in joined[0] and hvars[-1] in joined[0]:
-        column = dict(zip(*joined))  # the rule is non-empty, safe and connected
-    else:
+    column = _body_columns(kg, rule, object_identity) if hvars else None
+    # columns that hold every head variable: the rule is non-empty, safe and connected
+    if column is None or hvars[0] not in column or hvars[-1] not in column:
         column = None
         if not rule.body:
             raise ValueError("confidence undefined for empty body")

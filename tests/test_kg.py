@@ -179,6 +179,23 @@ class TestIndexes:
                 assert subjects.tolist() == [kg.has_subject(r, v) for v in values.tolist()]
                 assert objects.tolist() == [kg.has_object(r, v) for v in values.tolist()]
 
+    def test_count_facts_among(self):
+        # rows repeat, so a fact met twice must still count once
+        rng = random.Random(35)
+        for _ in range(30):
+            kg = random_kg(rng, max_entities=10, max_relations=5, max_facts=60)
+            facts, n = kg.fact_list(), len(kg.entities)
+            rows = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 30))]
+            rows += [rng.choice(facts)[::2] for _ in range(5)] * 2
+            rng.shuffle(rows)
+            subjects = np.array([s for s, _ in rows], np.int64)
+            objects = np.array([o for _, o in rows], np.int64)
+            for r in range(len(kg.relations)):
+                pairs = [(s, o) for s, rr, o in facts if rr == r]
+                assert kg.count_facts_among(r, subjects, objects) == sum(f in rows for f in pairs)
+                assert kg.count_facts_among(r, subjects) == sum(s in subjects for s, _ in pairs)
+                assert kg.count_facts_among(r, None, objects) == sum(o in objects for _, o in pairs)
+                assert kg.count_facts_among(r) == len(pairs)
 
     @staticmethod
     def join_rows(kg, atoms, cutoff=None):
@@ -261,6 +278,12 @@ class TestIndexes:
         assert kg.linked_head_counts(a, b, np.zeros(3, np.int64)) == {(0, p): 1, (0, q): 1}
         assert kg.incident_relations(np.array([0, 1, 2], np.int64)) == ([p, q], [p, q])
         assert not kg.has_endpoints(empty, np.array([0, 1, 2], np.int64), "subject").any()
+        subjects, objects = np.array([0, 1, 1, 0], np.int64), np.array([1, 1, 1, 2], np.int64)
+        assert kg.count_facts_among(p, subjects, objects) == 2
+        assert kg.count_facts_among(q, subjects, objects) == 0
+        assert kg.count_facts_among(q, None, objects) == 1
+        assert kg.count_facts_among(empty, subjects, objects) == 0
+        assert kg.count_facts_among(empty, subjects) == kg.count_facts_among(empty, None, objects) == 0
 
     def test_index_join_cutoff(self):
         # columns are None exactly when the rows number more than cutoff

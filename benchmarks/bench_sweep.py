@@ -5,9 +5,11 @@ For each of three seeded graphs, runs `mine` once, records every rule it
 sweeps (each call of `amie._viable_refinements`), and then times the
 sweep over all of those parents, best of --repeat passes.  Prints, per
 graph: the number of parents, how many of them overran the witness
-limit, a digest of the (closing, dangling) results, and the seconds of
-the best pass.  The digest depends only on the results, so two trees
-whose sweeps agree print the same digest.
+limit, how many closing entries the sweeps found and how many of those
+reach head coverage (the only ones `mine` builds), a digest of the
+(closing, dangling) results, and the seconds of the best pass.  The
+digest depends only on the results, so two trees whose sweeps agree
+print the same digest.
 
 - mine-topdown: the benchmark's mine-topdown graph for seed 1 (1,000
   entities, 20 relations, 10,000 facts, r01 . r02 => r00 planted),
@@ -101,6 +103,16 @@ def digest(results):
     return h.hexdigest()[:16]
 
 
+def reaching_coverage(kg, config, parents, results):
+    """The number of closing entries whose count reaches
+    `min_head_coverage` times the parent's head facts."""
+    return sum(
+        n >= config.min_head_coverage * kg.fact_count(rule.head.relation)
+        for rule, (closing, _) in zip(parents, results)
+        for n in (closing or {}).values()
+    )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3, help="passes per graph, best kept")
@@ -116,8 +128,10 @@ def main():
             elapsed = time.perf_counter() - t0
             best = elapsed if best is None else min(best, elapsed)
         overruns = sum(closing is None for closing, _ in results)
+        found = sum(len(closing or {}) for closing, _ in results)
         print(
             f"{name:<13} parents {len(parents):>5}  overruns {overruns:>3}  "
+            f"closing {found:>6}  covered {reaching_coverage(kg, config, parents, results):>5}  "
             f"digest {digest(results)}  {best:8.3f} s"
         )
 

@@ -23,9 +23,12 @@ without object identity, and from `metrics.projections` onto all of the
 rule's variables otherwise.  The sweep is a few array calls per parent
 with no per-row Python loop, and it also counts the support of each
 closing child (AMIE's count projection): the distinct head keys of the
-rows that realize its atom.  The level loop carries that count to
-the child's evaluation; dangling and instantiated children get their
-support from `metrics.support`.  The sweep's one overrun point is past
+rows that realize its atom.  The level loop builds only the closing
+children whose count reaches `min_head_coverage` of the head's facts (a
+child below it would be neither emitted nor refined, so children below
+head coverage are never built) and carries that count to the child's
+evaluation; dangling and instantiated children get their support from
+`metrics.support`.  The sweep's one overrun point is past
 _WITNESS_LIMIT rows: it then prunes nothing and counts nothing for that
 parent, which only lets zero-support children through, so the mined
 rules do not change.
@@ -143,15 +146,18 @@ def _children(rule: Rule, atoms):
 
 
 def refine_dangling(kg, rule: Rule, config: MinerConfig, viable=None):
-    """Children extending the body with one fresh-variable atom."""
+    """Children extending the body with one fresh-variable atom.  `viable`
+    is None (every dangling slot) or the witness sweep's set of the
+    (r, v, subject side) slots worth building."""
+    if viable is None:
+        viable = [
+            (r, v, subject_side)
+            for v in _slots(rule, config.max_len)[1]
+            for r in range(len(kg.relations))
+            for subject_side in (True, False)
+        ]
     fresh = var(max(rule.variables(), default=-1) + 1)
-    atoms = [
-        Atom(r, var(v), fresh) if subject_side else Atom(r, fresh, var(v))
-        for v in _slots(rule, config.max_len)[1]
-        for r in range(len(kg.relations))
-        for subject_side in (True, False)
-        if viable is None or (r, v, subject_side) in viable
-    ]
+    atoms = [Atom(r, var(v), fresh) if side else Atom(r, fresh, var(v)) for r, v, side in viable]
     return _children(rule, atoms)
 
 
@@ -160,14 +166,14 @@ def _closing_children(kg, rule: Rule, config: MinerConfig, closing=None):
     atom over two existing variables.  `closing` is None (build them all,
     supports unknown) or the witness sweep's dict from each (r, a, b) worth
     building to the support of the child adding r(a, b)."""
+    if closing is None:
+        slots = _slots(rule, config.max_len)[0]
+        closing = dict.fromkeys((r, a, b) for a, b in slots for r in range(len(kg.relations)))
     children = {}
-    for a, b in _slots(rule, config.max_len)[0]:
-        for r in range(len(kg.relations)):
-            if closing is None or (r, a, b) in closing:
-                atom = Atom(r, var(a), var(b))
-                if atom not in rule.atoms:
-                    child = canonicalize(Rule(rule.head, rule.body + (atom,)))
-                    children[child] = None if closing is None else closing[r, a, b]
+    for (r, a, b), n in closing.items():
+        atom = Atom(r, var(a), var(b))
+        if atom not in rule.atoms:
+            children[canonicalize(Rule(rule.head, rule.body + (atom,)))] = n
     return children
 
 
@@ -328,6 +334,10 @@ def mine(kg: KnowledgeGraph, config: MinerConfig = None):
             ):
                 continue
             closing_viable, dangling_viable = _viable_refinements(kg, rec.rule, config)
+            if closing_viable is not None:
+                # a child below head coverage is neither emitted nor refined
+                floor = config.min_head_coverage * rec.head_fact_count
+                closing_viable = {k: n for k, n in closing_viable.items() if n >= floor}
             closing = _closing_children(kg, rec.rule, config, closing_viable)
             carried.update((child, n) for child, n in closing.items() if n is not None)
             children.update(refine_dangling(kg, rec.rule, config, viable=dangling_viable))

@@ -16,10 +16,11 @@ key, sorted, with its relation.  They are built on the first call that
 needs them, never at load time, so a graph that is only loaded or only
 queried through the dicts never pays for them.
 
-`index_join` and `count_facts_among` run once per rule, often on a few
-dozen facts, so they call ndarray methods (`a.searchsorted`, `a.repeat`)
-rather than the `np.` functions, which add about a microsecond of
-dispatch each: that is most of a call on a small graph.
+`index_join`, `count_facts_among` and `linked_head_counts` run once per
+rule, often on a few dozen facts, so they call ndarray methods
+(`a.searchsorted`, `a.repeat`, `a.take`) rather than the `np.`
+functions, which add about a microsecond of dispatch each: that is most
+of a call on a small graph.
 """
 
 from __future__ import annotations
@@ -361,19 +362,19 @@ class KnowledgeGraph:
         keys = (a * arrays.n + b).ravel()
         at = np.flatnonzero(arrays.pair_filter[arrays.pair_hash(keys)])
         keys = keys[at]
-        lo = np.searchsorted(facts, keys)
+        lo = facts.searchsorted(keys)
         # when facts is empty the filter marks no slot, so keys is empty too
-        hit = facts[np.minimum(lo, facts.size - 1)] == keys
+        hit = facts.take(lo, mode="clip") == keys
         at, keys, lo = at[hit], keys[hit], lo[hit]
         if not at.size:
             return {}
-        lengths = np.searchsorted(facts, keys, "right") - lo
+        lengths = facts.searchsorted(keys, "right") - lo
         row, j = np.divmod(at, heads.size)
-        linked = np.repeat(row * n_rel, lengths) + take_ranges(arrays.pair_relations, lo, lengths)
+        linked = (row * n_rel).repeat(lengths) + take_ranges(arrays.pair_relations, lo, lengths)
         span = int(heads.max()) + 1
         if a.shape[0] * n_rel * span >= 2**63:
             raise OverflowError("linked_head_counts: (row, relation, head) keys overflow int64")
-        counts = np.bincount(sorted_unique(linked * span + np.repeat(heads[j], lengths)) // span)
+        counts = np.bincount(sorted_unique(linked * span + heads[j].repeat(lengths)) // span)
         linked = np.flatnonzero(counts)
         return {divmod(i, n_rel): c for i, c in zip(linked.tolist(), counts[linked].tolist())}
 

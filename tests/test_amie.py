@@ -364,6 +364,49 @@ class TestWitnessSweep:
         assert n_over > 0
         assert (n_fine > 0) == (limit > 0)
 
+    def test_no_child_below_coverage_is_built(self, monkeypatch):
+        config = MinerConfig(min_head_coverage=Fraction(1, 4), min_confidence=TINY)
+        rng = random.Random(25)
+        graphs = [random_kg(rng) for _ in range(20)]
+        sweep = _viable_refinements
+        seen, built = {}, []
+
+        def spy_sweep(kg_, rule, config_):
+            seen[rule] = sweep(kg_, rule, config_)
+            return seen[rule]
+
+        def spy_closing(kg_, rule, config_, closing=None):
+            kids = _closing_children(kg_, rule, config_, closing)
+            built.append((rule, closing, kids))
+            return kids
+
+        monkeypatch.setattr(hf.amie, "_viable_refinements", spy_sweep)
+        monkeypatch.setattr(hf.amie, "_closing_children", spy_closing)
+        dropped = 0
+        for kg in graphs:
+            seen.clear()
+            built.clear()
+            mine(kg, config)
+            for rule, closing, _ in built:
+                floor = config.min_head_coverage * kg.fact_count(rule.head.relation)
+                assert all(n >= floor for n in closing.values()), hf.render_rule(rule, kg)
+                found = seen[rule][0]
+                assert closing == {k: n for k, n in found.items() if n >= floor}
+                dropped += len(found) - len(closing)
+        assert dropped > 0
+        # an overrun parent still builds every closing child, with no support
+        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", 0)
+        n_kids = 0
+        for kg in graphs:
+            built.clear()
+            mine(kg, config)
+            for rule, closing, kids in built:
+                if closing is None:
+                    assert all(n is None for n in kids.values())
+                    assert kids == _closing_children(kg, rule, config)
+                    n_kids += len(kids)
+        assert n_kids > 0
+
 
 def random_rule(rng, kg, max_body):
     """A canonical rule with a two-variable head and up to max_body random
@@ -611,6 +654,27 @@ class TestPruningSoundness:
             for m in mined:
                 assert m.metrics == hf.evaluate(kg, m.rule)
             assert {m.rule for m in mine(kg)} <= got
+
+    @pytest.mark.parametrize("object_identity", [False, True])
+    def test_threshold_grid_matches_exhaustive_enumeration(self, object_identity):
+        rng = random.Random(10)
+        for _ in range(25):
+            kg = random_kg(rng)
+            supports = {r: brute_support(kg, r, object_identity) for r in all_closed_rules(kg)}
+            for t in (TINY, Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+                config = MinerConfig(
+                    min_head_coverage=t,
+                    min_confidence=TINY,
+                    enable_skyline=False,
+                    object_identity=object_identity,
+                )
+                got = {m.rule for m in mine(kg, config)}
+                want = {
+                    r
+                    for r, n in supports.items()
+                    if n >= 1 and n >= t * kg.fact_count(r.head.relation)
+                }
+                assert got == want, (t, sorted(hf.render_rule(r, kg) for r in got ^ want))
 
     def test_skyline_only_removes_rules(self):
         rng = random.Random(8)

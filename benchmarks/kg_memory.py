@@ -6,7 +6,9 @@ entities and 20 relations (random.Random(5)) and prints the traced MB and
 bytes per fact twice: right after construction, and again once a first
 column join (`index_join` of one atom) has built the int64 fact arrays
 that the column joins read, which are made on first use.  The interners and the input fact set exist
-before tracing starts, so only the graph's own structures count.
+before tracing starts, so only the graph's own structures count.  Under
+each reading go the six lines of `hornforge/kg.py` that hold the most of
+it, with their MB: which index the memory sits in.
 
 Usage, from the repository root without installing the package:
     PYTHONPATH=src python benchmarks/kg_memory.py
@@ -14,10 +16,13 @@ Usage, from the repository root without installing the package:
 
 from __future__ import annotations
 
+import linecache
 import random
 import tracemalloc
 
 from hornforge import Atom, Interner, KnowledgeGraph, var
+
+TOP_LINES = 6
 
 
 def random_facts(n_facts, n_entities, n_relations, seed):
@@ -28,9 +33,21 @@ def random_facts(n_facts, n_entities, n_relations, seed):
     return facts
 
 
-def graph_memory(n_facts, n_entities, n_relations, seed=5):
-    """Traced bytes held by the graph after construction, and after a
-    first column join."""
+def kg_lines(top_lines):
+    """(bytes, file name, line number) of the top_lines lines of kg.py that
+    hold the most traced memory now, most first; no snapshot when
+    top_lines is 0, since one takes seconds on a large graph."""
+    if not top_lines:
+        return []
+    snapshot = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, "*/hornforge/kg.py")])
+    stats = snapshot.statistics("lineno")[:top_lines]
+    return [(stat.size, stat.traceback[0].filename, stat.traceback[0].lineno) for stat in stats]
+
+
+def traced_graph(n_facts, n_entities, n_relations, seed=5, top_lines=0):
+    """[(traced bytes, kg_lines(top_lines))] held by the graph after
+    construction, and after a first column join.  Each snapshot is
+    dropped before the next reading, so it does not count in it."""
     entities, relations = Interner(), Interner()
     for i in range(n_entities):
         entities.intern(f"e{i}")
@@ -40,19 +57,28 @@ def graph_memory(n_facts, n_entities, n_relations, seed=5):
     tracemalloc.start()
     try:
         kg = KnowledgeGraph(entities, relations, facts)
-        built = tracemalloc.get_traced_memory()[0]
+        readings = [(tracemalloc.get_traced_memory()[0], kg_lines(top_lines))]
         kg.index_join([Atom(0, var(0), var(1))])
-        with_lazy = tracemalloc.get_traced_memory()[0]
+        readings.append((tracemalloc.get_traced_memory()[0], kg_lines(top_lines)))
     finally:
         tracemalloc.stop()
-    return built, with_lazy
+    return readings
+
+
+def graph_memory(n_facts, n_entities, n_relations, seed=5):
+    """Traced bytes held by the graph after construction, and after a
+    first column join."""
+    return tuple(size for size, _ in traced_graph(n_facts, n_entities, n_relations, seed))
 
 
 def main():
     n_facts = 100_000
-    built, with_lazy = graph_memory(n_facts, 10_000, 20)
-    for name, size in (("built", built), ("with lazy indexes", with_lazy)):
+    readings = traced_graph(n_facts, 10_000, 20, top_lines=TOP_LINES)
+    for name, (size, lines) in zip(("built", "with lazy indexes"), readings):
         print(f"{name:<18} {size / 1e6:7.1f} MB  {size / n_facts:6.0f} B/fact")
+        for line_size, filename, lineno in lines:
+            text = linecache.getline(filename, lineno).strip()
+            print(f"    kg.py:{lineno:<4} {line_size / 1e6:6.1f} MB  {text}")
 
 
 if __name__ == "__main__":

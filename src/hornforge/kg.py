@@ -6,15 +6,17 @@ list, so iteration order is deterministic for a given label input set.
 Only this module reads the index layout; its one short join,
 `index_join`, reads each atom through `_probe`.
 
-The dict and set indexes are built in `__init__`.  The column join
-`index_join`, the two vectorized lookups of the top-down miner's witness
-sweep (`linked_head_counts`, `incident_relations`), support's head-fact
-count `count_facts_among` and the PCA filter's `has_endpoints` read
-compact int64 arrays instead (`_FactArrays`): each relation's facts
-sorted by subject and by object, and every fact's subject * n + object
-key, sorted, with its relation.  They are built on the first call that
-needs them, never at load time, so a graph that is only loaded or only
-queried through the dicts never pays for them.
+`__init__` builds the dict and list indexes: per relation a fact count
+and subject -> objects and object -> subjects lists, per entity its out-
+and in-edge lists; `pairs` and `has_pair` read those and `facts`.  The
+column join `index_join`, the two vectorized lookups of the top-down
+miner's witness sweep (`linked_head_counts`, `incident_relations`),
+support's head-fact count `count_facts_among` and the PCA filter's
+`has_endpoints` read compact int64 arrays instead (`_FactArrays`): each
+relation's facts sorted by subject and by object, and every fact's
+subject * n + object key, sorted, with its relation.  They are built on
+the first call that needs them, never at load time, so a graph that is
+only loaded or only queried through the dicts never pays for them.
 
 `index_join`, `count_facts_among` and `linked_head_counts` run once per
 rule, often on a few dozen facts, so they call ndarray methods
@@ -29,6 +31,7 @@ import io
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -128,16 +131,17 @@ class _FactArrays:
         "n", "start", "by_subject", "by_object", "pair_keys", "pair_relations", "shift", "pair_filter"
     )
 
-    def __init__(self, pairs, n_entities):
-        """From each relation's (subject, object) list in sorted order."""
+    def __init__(self, fact_list, n_relations, n_entities):
+        """From the graph's fact list, sorted in (subject, relation, object) order."""
         n = self.n = n_entities
-        counts = np.fromiter(map(len, pairs), np.int64, len(pairs))
+        total = len(fact_list)
+        facts = np.fromiter(chain.from_iterable(fact_list), np.int64, 3 * total).reshape(total, 3)
+        order = facts[:, 1].argsort(kind="stable")  # each relation's facts stay by subject
+        s, r, o = (facts[:, i][order] for i in range(3))
+        del facts
+        counts = np.bincount(r, minlength=n_relations)
         self.start = _read_only(np.concatenate(([0], np.cumsum(counts))))
-        total = int(self.start[-1])
-        s = np.fromiter((s for facts in pairs for s, _ in facts), np.int64, total)
-        o = np.fromiter((o for facts in pairs for _, o in facts), np.int64, total)
         self.by_subject = (_read_only(s), _read_only(o))
-        r = np.repeat(np.arange(len(pairs)), counts)
         keys = s * n + o
         order = np.argsort(keys, kind="stable")  # equal keys keep relation order
         self.pair_keys = _read_only(keys[order])
@@ -172,19 +176,16 @@ class KnowledgeGraph:
         self.facts = frozenset(facts)
         self._fact_list = tuple(sorted(self.facts))
         n_rel = len(relations)
-        self._pairs = [[] for _ in range(n_rel)]
         self._sub_to_obj = [dict() for _ in range(n_rel)]
         self._obj_to_sub = [dict() for _ in range(n_rel)]
         self._out_edges = {}
         self._in_edges = {}
         for s, r, o in self._fact_list:
-            self._pairs[r].append((s, o))
             self._sub_to_obj[r].setdefault(s, []).append(o)
             self._obj_to_sub[r].setdefault(o, []).append(s)
             self._out_edges.setdefault(s, []).append((r, o))
             self._in_edges.setdefault(o, []).append((r, s))
-        # membership sets hold the tuples of _pairs, not copies of them
-        self._pair_sets = [set(pairs) for pairs in self._pairs]
+        self._counts = [sum(map(len, objects.values())) for objects in self._sub_to_obj]
         self._arrays = None
 
     @classmethod
@@ -199,13 +200,14 @@ class KnowledgeGraph:
     # --- fact access -------------------------------------------------
 
     def fact_count(self, r: int) -> int:
-        return len(self._pairs[r])
+        return self._counts[r]
 
     def pairs(self, r: int):
-        return self._pairs[r]
+        """Relation r's (subject, object) pairs as a new sorted list."""
+        return [(s, o) for s, objects in self._sub_to_obj[r].items() for o in objects]
 
     def has_pair(self, r: int, s: int, o: int) -> bool:
-        return (s, o) in self._pair_sets[r]
+        return (s, r, o) in self.facts
 
     def objects_of(self, r: int, s: int):
         return self._sub_to_obj[r].get(s, ())
@@ -259,11 +261,11 @@ class KnowledgeGraph:
 
     def relation_stats(self, r) -> RelationStats:
         r = self.relation_id(r)
-        if not self._pairs[r]:
+        if not self._counts[r]:
             raise ValueError("undefined functionality: relation has no facts")
         return RelationStats(
             relation=r,
-            fact_count=len(self._pairs[r]),
+            fact_count=self._counts[r],
             distinct_subjects=len(self._sub_to_obj[r]),
             distinct_objects=len(self._obj_to_sub[r]),
         )
@@ -277,7 +279,7 @@ class KnowledgeGraph:
         base = {} if bindings is None else bindings
         if not 0 <= atom.relation < len(self.relations):
             return
-        for ext in _ext_candidates(self, _compile(atom), base):
+        for ext in _ext_candidates(self, _compile(self, atom), base):
             merged = dict(base)
             merged.update(ext)
             yield merged
@@ -298,7 +300,7 @@ class KnowledgeGraph:
 
     def _fact_arrays(self) -> _FactArrays:
         if self._arrays is None:
-            self._arrays = _FactArrays(self._pairs, len(self.entities))
+            self._arrays = _FactArrays(self._fact_list, len(self.relations), len(self.entities))
         return self._arrays
 
     def index_join(self, atoms, cutoff=None):
@@ -315,7 +317,7 @@ class KnowledgeGraph:
         if not 1 <= len(atoms) <= 2:
             return None
         a0, a1 = atoms[0], atoms[-1]
-        if len(self._pairs[a1.relation]) < len(self._pairs[a0.relation]):
+        if self._counts[self.relation_id(a1.relation)] < self._counts[self.relation_id(a0.relation)]:
             a0, a1 = a1, a0  # walk the smaller fact list
         cols = (a0.subject.index, a0.object.index)
         if self._probe(a0, cols) is None:  # not over two distinct variables
@@ -400,7 +402,7 @@ class KnowledgeGraph:
         The facts are the needles, so each counts once however often its
         values repeat."""
         if subjects is None and objects is None:
-            return len(self._pairs[r])
+            return self._counts[r]
         arrays = self._fact_arrays()
         if objects is None:
             values, needles = subjects.copy(), arrays.walk(r, 0)[0]
@@ -425,10 +427,7 @@ class KnowledgeGraph:
         if depth < 2:
             raise ValueError("subgraph depth must be at least 2")
         head_relation = self.relation_id(head_relation)
-        layer = set()
-        for s, o in self._pairs[head_relation]:
-            layer.add(s)
-            layer.add(o)
+        layer = set(self._sub_to_obj[head_relation]).union(self._obj_to_sub[head_relation])
         keep = set(layer)
         for _ in range(depth - 2):
             nxt = set()
@@ -483,10 +482,11 @@ def dump_triples(kg: KnowledgeGraph, stream) -> None:
 # --- atom matching machinery (shared with metrics) -----------------------
 
 
-def _compile(atom: Atom):
-    """(relation, s_is_var, s_key, o_is_var, o_key) tuple for the hot loops."""
+def _compile(kg: KnowledgeGraph, atom: Atom):
+    """(relation, s_is_var, s_key, o_is_var, o_key) tuple for the hot loops;
+    ValueError when the relation is not one of kg's."""
     return (
-        atom.relation,
+        kg.relation_id(atom.relation),
         atom.subject.is_var,
         atom.subject.index,
         atom.object.is_var,
@@ -512,9 +512,10 @@ def _ext_candidates(kg: KnowledgeGraph, catom, binding: dict):
             yield ((s_key, s),)
         return
     if s_key == o_key:
-        for s, o in kg.pairs(r):
-            if s == o:
+        for s, objects in kg._sub_to_obj[r].items():
+            if s in objects:
                 yield ((s_key, s),)
         return
-    for s, o in kg.pairs(r):
-        yield ((s_key, s), (o_key, o))
+    for s, objects in kg._sub_to_obj[r].items():
+        for o in objects:
+            yield ((s_key, s), (o_key, o))

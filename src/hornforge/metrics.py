@@ -52,7 +52,7 @@ def _estimate(kg, catom, binding):
         return len(kg.objects_of(r, s_val))
     if o_val is not None:
         return len(kg.subjects_of(r, o_val))
-    return 1 + len(kg.pairs(r))
+    return 1 + kg.fact_count(r)
 
 
 def _apply_ext(binding, used, ext):
@@ -148,7 +148,7 @@ def projections(kg, atoms, out_vars, binding=None, object_identity=False, cutoff
             if aborted:
                 return
 
-    rec(tuple(_compile(a) for a in atoms))
+    rec(tuple(_compile(kg, a) for a in atoms))
     return None if aborted else found
 
 
@@ -194,20 +194,21 @@ def support(kg: KnowledgeGraph, rule: Rule, object_identity: bool = False) -> in
     """Distinct head substitutions with the head a fact and the body
     satisfiable.  For a head over two distinct variables, an empty body
     and one kg.index_join covers are counted off the graph's arrays."""
-    hs, ho, r = rule.head.subject, rule.head.object, rule.head.relation
-    if not object_identity and hs.is_var and ho.is_var and hs.index != ho.index:
+    head = _compile(kg, rule.head)
+    r, s_var, s, o_var, o = head
+    if not object_identity and s_var and o_var and s != o:
         # an empty body leaves both head variables free; a covered body is
         # connected, so one head variable among its columns connects the rule
         column = _body_columns(kg, rule, object_identity) if rule.body else {}
-        if column is not None and (not rule.body or hs.index in column or ho.index in column):
-            return kg.count_facts_among(r, column.get(hs.index), column.get(ho.index))
+        if column is not None and (not rule.body or s in column or o in column):
+            return kg.count_facts_among(r, column.get(s), column.get(o))
     if not is_connected(rule):
         raise ValueError("disconnected rule")
-    catoms = tuple(_compile(a) for a in rule.body)
+    catoms = tuple(_compile(kg, a) for a in rule.body)
     count = 0
     # head bindings straight off the index: constants and a repeated head
     # variable leave only the head facts that match
-    for ext in _ext_candidates(kg, _compile(rule.head), {}):
+    for ext in _ext_candidates(kg, head, {}):
         binding = dict(ext)
         used = None
         if object_identity:
@@ -220,7 +221,7 @@ def support(kg: KnowledgeGraph, rule: Rule, object_identity: bool = False) -> in
 
 
 def head_coverage(kg, rule, object_identity=False) -> Fraction:
-    n = kg.fact_count(rule.head.relation)
+    n = kg.fact_count(kg.relation_id(rule.head.relation))
     if n == 0:
         raise ValueError("undefined head coverage: head relation has no facts")
     return Fraction(support(kg, rule, object_identity), n)
@@ -232,6 +233,7 @@ def _body_size(kg, rule, direction, object_identity, cutoff):
     kg.index_join covers and that binds every head variable is counted off
     the join's columns, the PCA filter a mask on its head-variable column;
     None when cutoff is given and exceeded."""
+    kg.relation_id(rule.head.relation)
     hvars = rule.head_variables()
     column = _body_columns(kg, rule, object_identity) if hvars else None
     # columns that hold every head variable: the rule is non-empty, safe and connected
@@ -271,7 +273,7 @@ def pca_direction(kg, rule, direction: str = "auto") -> str:
         return direction
     if direction != "auto":
         raise ValueError(f"unknown confidence direction: {direction!r}")
-    r = rule.head.relation
+    r = kg.relation_id(rule.head.relation)
     if kg.fact_count(r) == 0:
         return "subject"
     stats = kg.relation_stats(r)
@@ -433,8 +435,8 @@ def covered(kg, rules, facts) -> frozenset:
     """Facts predicted by at least one rule: head unifies and body holds in kg."""
     by_head = {}
     for rule in rules:
-        by_head.setdefault(rule.head.relation, []).append(
-            (rule, tuple(_compile(a) for a in rule.body))
+        by_head.setdefault(kg.relation_id(rule.head.relation), []).append(
+            (rule, tuple(_compile(kg, a) for a in rule.body))
         )
     out = set()
     for fact in facts:

@@ -58,12 +58,13 @@ def apply_rule(kg: KnowledgeGraph, rule: Rule, confidence=None, object_identity=
     else:
         conf = as_fraction(confidence)
     head = rule.head
+    relation = kg.relation_id(head.relation)
     hv = rule.head_variables()
     out = []
     for proj in projections(kg, rule.body, hv, None, object_identity):
         s, o = _head_pair(head, hv, proj)
-        fact = (s, head.relation, o)
-        out.append(Prediction(fact, kg.has_pair(head.relation, s, o), ((rule, conf),)))
+        fact = (s, relation, o)
+        out.append(Prediction(fact, kg.has_pair(relation, s, o), ((rule, conf),)))
     out.sort(key=lambda p: p.fact)
     return out
 

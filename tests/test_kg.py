@@ -13,12 +13,20 @@ from hornforge import (
     GraphParseError,
     Interner,
     KnowledgeGraph,
+    Rule,
     adjacency_matrix,
+    apply_rule,
     complete,
     const,
+    covered,
+    cwa_body_size,
     dump_triples,
+    evaluate,
     generate_negatives,
+    head_coverage,
     load_triples,
+    pca_body_size,
+    projections,
     support,
     var,
 )
@@ -134,6 +142,40 @@ class TestIndexes:
                 assert list(kg.out_edges(e)) == sorted((r, o) for s, r, o in facts if s == e)
                 # in fact order: by subject, then relation
                 assert list(kg.in_edges(e)) == [(r, s) for s, r, o in facts if o == e]
+
+    def test_views_agree_with_fact_list(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            n_e, n_r = rng.randint(2, 7), rng.randint(1, 4)
+            entities, relations = Interner(), Interner()
+            for i in range(n_e + 1):  # the last entity has no facts
+                entities.intern(f"e{i}")
+            for i in range(n_r + 1):  # nor has the last relation
+                relations.intern(f"r{i}")
+            facts = {(rng.randrange(n_e), rng.randrange(n_r), rng.randrange(n_e)) for _ in range(30)}
+            facts |= {(e, rng.randrange(n_r), e) for e in rng.sample(range(n_e), 2)}
+            kg = KnowledgeGraph(entities, relations, facts)
+            for r in range(n_r + 1):
+                pairs = [(s, o) for s, rr, o in kg.fact_list() if rr == r]
+                assert kg.pairs(r) == pairs and kg.fact_count(r) == len(pairs)
+                for s, o in itertools.product(range(n_e + 1), repeat=2):
+                    assert kg.has_pair(r, s, o) == ((s, o) in pairs)
+                if pairs:
+                    st = kg.relation_stats(r)
+                    assert (st.fact_count, st.distinct_subjects, st.distinct_objects) == (
+                        len(pairs), len({s for s, _ in pairs}), len({o for _, o in pairs})
+                    )
+                else:
+                    with pytest.raises(ValueError, match="no facts"):
+                        kg.relation_stats(r)
+                reflexive = [sub[0] for sub in kg.match_atom(Atom(r, var(0), var(0)))]
+                assert reflexive == [s for s, o in pairs if s == o]
+                cols, (subjects, objects) = kg.index_join([Atom(r, var(0), var(1))])
+                assert cols == (0, 1) and list(zip(subjects.tolist(), objects.tolist())) == pairs
+                # the list is the caller's: changing it changes no view of the graph
+                kg.pairs(r).append((n_e, n_e))
+                assert kg.fact_count(r) == len(pairs) and not kg.has_pair(r, n_e, n_e)
+                assert kg.pairs(r) == pairs
 
     def test_linked_head_counts(self):
         # every (e, o) pair twice per row, in two row orders, with few
@@ -325,6 +367,37 @@ class TestRelationId:
         for bad in (-1, len(sample_kg.relations)):
             with pytest.raises(ValueError, match="unknown relation"):
                 self.ENTRY_POINTS[entry](sample_kg, bad)
+
+    RULE_ENTRY_POINTS = {
+        "support": support,
+        "support, object identity": lambda kg, rule: support(kg, rule, object_identity=True),
+        "head_coverage": head_coverage,
+        "cwa_body_size": cwa_body_size,
+        "pca_body_size": pca_body_size,
+        "pca_body_size, subject": lambda kg, rule: pca_body_size(kg, rule, "subject"),
+        "evaluate": evaluate,
+        "evaluate, object": lambda kg, rule: evaluate(kg, rule, "object"),
+        "projections": lambda kg, rule: projections(kg, rule.atoms, rule.head_variables()),
+        "index_join": lambda kg, rule: kg.index_join([rule.head, rule.body[-1]]),
+        "apply_rule": lambda kg, rule: apply_rule(kg, rule, confidence=1),
+        "covered": lambda kg, rule: covered(kg, [rule], kg.fact_list()),
+    }
+
+    @pytest.mark.parametrize("position", ["head", "body"])
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["-1", "len(relations)"])
+    @pytest.mark.parametrize("entry", sorted(RULE_ENTRY_POINTS))
+    def test_out_of_range_atom_relation_rejected(self, entry, bad, position):
+        # without the check the column and the generic join read different
+        # relations for -1, and len(relations) fails inside numpy
+        kg = KnowledgeGraph.from_label_triples([("a", "p", "b"), ("b", "q", "c"), ("b", "p", "c")])
+        p = kg.relation_id("p")
+        a, b, c = var(0), var(1), var(2)
+        if position == "head":
+            rule = Rule(Atom(bad, a, b), (Atom(p, a, c), Atom(p, c, b)))
+        else:
+            rule = Rule(Atom(p, a, b), (Atom(p, a, c), Atom(bad, c, b)))
+        with pytest.raises(ValueError, match="unknown relation"):
+            self.RULE_ENTRY_POINTS[entry](kg, rule)
 
 
 class TestRelationStats:

@@ -4,12 +4,13 @@
 For each of three seeded graphs, runs `mine` once, records every rule it
 sweeps (each call of `amie._viable_refinements`), and then times the
 sweep over all of those parents, best of --repeat passes.  Prints, per
-graph: the number of parents, how many of them overran the witness
-limit, how many closing entries the sweeps found and how many of those
-reach head coverage (the only ones `mine` builds), a digest of the
-(closing, dangling) results, and the seconds of the best pass.  The
-digest depends only on the results, so two trees whose sweeps agree
-print the same digest.
+graph: the number of parents, how many of them the sweep read off the
+column join (`KnowledgeGraph.index_join`) and how many through
+`projections`, how many overran the witness limit, how many closing
+entries the sweeps found and how many of those reach head coverage (the
+only ones `mine` builds), a digest of the (closing, dangling) results,
+and the seconds of the best pass.  The digest depends only on the
+results, so two trees whose sweeps agree print the same digest.
 
 - mine-topdown: the benchmark's mine-topdown graph for seed 1 (1,000
   entities, 20 relations, 10,000 facts, r01 . r02 => r00 planted),
@@ -77,20 +78,25 @@ GRAPHS = {
 
 
 def swept_parents(kg, config):
-    """The rules one `mine` run sweeps, in sweep order."""
-    parents = []
-    sweep = amie._viable_refinements
+    """The rules one `mine` run sweeps, in sweep order, and how many of
+    them the sweep read through `projections`."""
+    parents, generic = [], set()
+    sweep, project = amie._viable_refinements, amie.projections
 
     def record(kg_, rule, config_):
         parents.append(rule)
         return sweep(kg_, rule, config_)
 
-    amie._viable_refinements = record
+    def counted(kg_, atoms, *args):
+        generic.update(parents[-1:])
+        return project(kg_, atoms, *args)
+
+    amie._viable_refinements, amie.projections = record, counted
     try:
         hf.mine(kg, config)
     finally:
-        amie._viable_refinements = sweep
-    return parents
+        amie._viable_refinements, amie.projections = sweep, project
+    return parents, len(generic)
 
 
 def digest(results):
@@ -120,7 +126,7 @@ def main():
     args = parser.parse_args()
     for name in args.graph:
         kg, config = GRAPHS[name]()
-        parents = swept_parents(kg, config)
+        parents, generic = swept_parents(kg, config)
         best = None
         for _ in range(args.repeat):
             t0 = time.perf_counter()
@@ -130,7 +136,8 @@ def main():
         overruns = sum(closing is None for closing, _ in results)
         found = sum(len(closing or {}) for closing, _ in results)
         print(
-            f"{name:<13} parents {len(parents):>5}  overruns {overruns:>3}  "
+            f"{name:<13} parents {len(parents):>5}  columns {len(parents) - generic:>5}  "
+            f"projections {generic:>5}  overruns {overruns:>3}  "
             f"closing {found:>6}  covered {reaching_coverage(kg, config, parents, results):>5}  "
             f"digest {digest(results)}  {best:8.3f} s"
         )

@@ -18,9 +18,9 @@ Before a parent is refined, one witness sweep reads its full solutions
 and keeps only the dangling and closing atoms some solution realizes, so
 children without support are never built.  The solutions are int64
 columns, one per variable: from the column join
-`KnowledgeGraph.index_join` for rules of one or two all-variable atoms
-without object identity, and from `metrics.projections` onto all of the
-rule's variables otherwise.  The sweep is a few array calls per parent
+`KnowledgeGraph.index_join` for rules whose atoms are each over two
+distinct variables, without object identity, and from
+`metrics.projections` onto all of the rule's variables otherwise.  The sweep is a few array calls per parent
 with no per-row Python loop, and it also counts the support of each
 closing child (AMIE's count projection): the distinct head keys of the
 rows that realize its atom.  The level loop builds only the closing
@@ -28,10 +28,10 @@ children whose count reaches `min_head_coverage` of the head's facts (a
 child below it would be neither emitted nor refined, so children below
 head coverage are never built) and carries that count to the child's
 evaluation; dangling and instantiated children get their support from
-`metrics.support`.  The sweep's one overrun point is past
-_WITNESS_LIMIT rows: it then prunes nothing and counts nothing for that
-parent, which only lets zero-support children through, so the mined
-rules do not change.
+`metrics.support`.  The sweep overruns past _WITNESS_LIMIT rows, of
+the solutions or of one of the column join's partial joins: it then
+prunes nothing and counts nothing for that parent, which only lets
+zero-support children through, so the mined rules do not change.
 """
 
 from __future__ import annotations
@@ -220,13 +220,15 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     children outside these are skipped without evaluation.  Only the
     slots of _slots are collected.  The witness rows are the rule's full
     solutions, one int64 column per variable: from `kg.index_join` when
-    the rule's shape allows it and object identity is off, and otherwise
-    from `projections` onto all of the rule's variables, converted once.
+    each atom is over two distinct variables and object identity is off,
+    and otherwise from `projections` onto all of the rule's variables,
+    converted once.
     A closing atom adds no variable, so `closing` maps each (r, a, b) to
     its child's support: the distinct head keys of the rows that realize
     r(a, b), all closing pairs counted in one `kg.linked_head_counts`
     call.  Each dangling variable is one `kg.incident_relations` call.
-    Returns (None, None) when the rows overrun _WITNESS_LIMIT.
+    Returns (None, None) when the rows, or those of a partial column
+    join, overrun _WITNESS_LIMIT.
     """
     pairs_needed, dangling_vars, _ = _slots(rule, config.max_len)
     joined = None if config.object_identity else kg.index_join(rule.atoms, _WITNESS_LIMIT)

@@ -3,12 +3,14 @@
 Facts are (subject, relation, object) triples of interned ids.  They are
 sorted once at construction, and every index is built from that sorted
 list, so iteration order is deterministic for a given label input set.
-Only this module reads the index layout; its one short join,
-`index_join`, reads each atom through `_probe`.
+Only this module reads the index layout.
 
 `__init__` builds the dict and list indexes: per relation a fact count
 and subject -> objects and object -> subjects lists, per entity its out-
 and in-edge lists; `pairs` and `has_pair` read those and `facts`.  The
+public accessors reject an unknown relation id; the generic join's
+per-node reads (`_estimate`, `_ext_candidates`) take atoms `_compile`
+has already checked and read the dicts directly.  The
 column join `index_join`, the two vectorized lookups of the top-down
 miner's witness sweep (`linked_head_counts`, `incident_relations`),
 support's head-fact count `count_facts_among` and the PCA filter's
@@ -200,32 +202,33 @@ class KnowledgeGraph:
     # --- fact access -------------------------------------------------
 
     def fact_count(self, r: int) -> int:
-        return self._counts[r]
+        return self._counts[self.relation_id(r)]
 
     def pairs(self, r: int):
         """Relation r's (subject, object) pairs as a new sorted list."""
-        return [(s, o) for s, objects in self._sub_to_obj[r].items() for o in objects]
+        by_subject = self._sub_to_obj[self.relation_id(r)]
+        return [(s, o) for s, objects in by_subject.items() for o in objects]
 
     def has_pair(self, r: int, s: int, o: int) -> bool:
         return (s, r, o) in self.facts
 
     def objects_of(self, r: int, s: int):
-        return self._sub_to_obj[r].get(s, ())
+        return self._sub_to_obj[self.relation_id(r)].get(s, ())
 
     def subjects_of(self, r: int, o: int):
-        return self._obj_to_sub[r].get(o, ())
+        return self._obj_to_sub[self.relation_id(r)].get(o, ())
 
     def has_subject(self, r: int, s: int) -> bool:
-        return s in self._sub_to_obj[r]
+        return s in self._sub_to_obj[self.relation_id(r)]
 
     def has_object(self, r: int, o: int) -> bool:
-        return o in self._obj_to_sub[r]
+        return o in self._obj_to_sub[self.relation_id(r)]
 
     def subjects(self, r: int):
-        return sorted(self._sub_to_obj[r])
+        return sorted(self._sub_to_obj[self.relation_id(r)])
 
     def objects(self, r: int):
-        return sorted(self._obj_to_sub[r])
+        return sorted(self._obj_to_sub[self.relation_id(r)])
 
     def out_edges(self, e: int):
         return self._out_edges.get(e, ())
@@ -284,75 +287,73 @@ class KnowledgeGraph:
             merged.update(ext)
             yield merged
 
-    def _probe(self, atom, cols):
-        """(new, at): how an all-variable atom over two distinct variables
-        is read once the variables in `cols` are bound; None for any other
-        atom or one binding nothing in `cols`.  Both bound: new is None and
-        at their two slots, subject first.  One bound: new is the other
-        variable and at the bound one's slot."""
-        s, o = atom.subject, atom.object
-        if not (s.is_var and o.is_var) or s.index == o.index:
-            return None
-        s, o = s.index, o.index
-        if s in cols:
-            return (None, (cols.index(s), cols.index(o))) if o in cols else (o, cols.index(s))
-        return (s, cols.index(o)) if o in cols else None
-
     def _fact_arrays(self) -> _FactArrays:
         if self._arrays is None:
             self._arrays = _FactArrays(self._fact_list, len(self.relations), len(self.entities))
         return self._arrays
 
     def index_join(self, atoms, cutoff=None):
-        """(variables, columns) of a conjunction of one or two all-variable
-        atoms that share a variable, each atom over two distinct variables:
-        every solution once, as one int64 array of values per variable in
-        `variables` order.  None for any other shape.  When cutoff is given
-        and the solutions number more than cutoff, columns is None; that is
-        decided from the lookup lengths, before any column is allocated.
+        """(variables, columns) of a non-empty connected conjunction of
+        atoms, each over two distinct variables: every solution once, as
+        one int64 array of values per variable in `variables` order; None
+        for any other shape.  Given cutoff, columns is None when the
+        solutions, or the rows of a partial join (the solutions of the
+        atoms joined so far), number more than cutoff, decided before each
+        step allocates; for one or two atoms, exactly when the solutions do.
 
-        The atom with fewer facts is walked in the order of the slot the
-        other atom is looked up by, so the `searchsorted` needles arrive
-        sorted."""
-        if not 1 <= len(atoms) <= 2:
+        The atom with the fewest facts is walked first, sorted by the slot
+        the next atom reads it by.  Then the pending atom with the fewest
+        facts that shares a bound variable (ties in input order) keeps the
+        rows whose subject * n + object key is one of its facts, or with
+        one variable bound expands each row by its matches."""
+        pending = []
+        for k, a in enumerate(atoms):
+            s, o = a.subject, a.object
+            if not (s.is_var and o.is_var) or s.index == o.index:
+                return None
+            r = self.relation_id(a.relation)
+            pending.append((self._counts[r], k, r, s.index, o.index))
+        if not pending:
             return None
-        a0, a1 = atoms[0], atoms[-1]
-        if self._counts[self.relation_id(a1.relation)] < self._counts[self.relation_id(a0.relation)]:
-            a0, a1 = a1, a0  # walk the smaller fact list
-        cols = (a0.subject.index, a0.object.index)
-        if self._probe(a0, cols) is None:  # not over two distinct variables
-            return None
+        pending.sort()  # fewest facts first, ties in input order
+        count, _, first, s, o = pending.pop(0)
+        variables, steps = [s, o], []  # steps: (relation, s, o, the slot it is read by or None)
+        while pending:
+            for atom in pending:
+                _, _, r, s, o = atom
+                if s in variables or o in variables:
+                    break
+            else:
+                return None  # disconnected
+            pending.remove(atom)
+            slot = None if s in variables and o in variables else int(s not in variables)
+            steps.append((r, s, o, slot))
+            if slot is not None:
+                variables.append((o, s)[slot])
+        variables = tuple(variables)
+        if cutoff is not None and not steps and count > cutoff:
+            return variables, None
         arrays = self._fact_arrays()
-        if len(atoms) == 1:
-            first = arrays.walk(a0.relation, 0)
-            return cols, None if cutoff is not None and first[0].size > cutoff else first
-        probe = self._probe(a1, cols)
-        if probe is None:
-            return None
-        new, at = probe
-        if new is None:
-            # the second atom adds no variable: keep the first's facts that are its facts
-            s_slot, o_slot = at
-            first = arrays.walk(a0.relation, s_slot)
-            keys = first[s_slot] * arrays.n + first[o_slot]
-            s1, o1 = arrays.walk(a1.relation, 0)
-            hit = _in_sorted(s1 * arrays.n + o1, keys)
-            if cutoff is not None and np.count_nonzero(hit) > cutoff:
-                return cols, None
-            return cols, (first[0][hit], first[1][hit])
-        first = arrays.walk(a0.relation, at)
-        bound_is_subject = a1.object.index == new
-        s1, o1 = arrays.walk(a1.relation, 0 if bound_is_subject else 1)
-        sorted1, other1 = (s1, o1) if bound_is_subject else (o1, s1)
-        lo = sorted1.searchsorted(first[at], "left")
-        lengths = sorted1.searchsorted(first[at], "right") - lo
-        if cutoff is not None and int(lengths.sum()) > cutoff:
-            return cols + (new,), None
-        return cols + (new,), (
-            first[0].repeat(lengths),
-            first[1].repeat(lengths),
-            take_ranges(other1, lo, lengths),
-        )
+        s, o = steps[0][1:3] if steps else variables
+        slot = variables.index(s if s in variables[:2] else o)  # the slot the next atom reads
+        columns = arrays.walk(first, slot)
+        for r, s, o, slot in steps:
+            walked = arrays.walk(r, slot or 0)
+            if slot is None:  # both variables bound: keep the rows that are its facts
+                keys = columns[variables.index(s)] * arrays.n + columns[variables.index(o)]
+                hit = _in_sorted(walked[0] * arrays.n + walked[1], keys)
+                if cutoff is not None and np.count_nonzero(hit) > cutoff:
+                    return variables, None
+                columns = [c[hit] for c in columns]
+                continue
+            needles = columns[variables.index((s, o)[slot])]
+            lo = walked[slot].searchsorted(needles, "left")
+            lengths = walked[slot].searchsorted(needles, "right") - lo
+            if cutoff is not None and int(lengths.sum()) > cutoff:
+                return variables, None
+            columns = [c.repeat(lengths) for c in columns]
+            columns.append(take_ranges(walked[1 - slot], lo, lengths))
+        return variables, tuple(columns)
 
     def linked_head_counts(self, a, b, heads):
         """{(i, r): the number of distinct heads[j] over the j at which
@@ -401,6 +402,7 @@ class KnowledgeGraph:
         (s, o) counts when (s, o) is (subjects[i], objects[i]) for some i.
         The facts are the needles, so each counts once however often its
         values repeat."""
+        r = self.relation_id(r)
         if subjects is None and objects is None:
             return self._counts[r]
         arrays = self._fact_arrays()
@@ -418,7 +420,7 @@ class KnowledgeGraph:
         """Boolean array: whether each of the int64 `values` is the subject
         (side "subject") or the object (side "object") of a fact of r."""
         slot = side != "subject"
-        return _in_sorted(self._fact_arrays().walk(r, slot)[slot], values)
+        return _in_sorted(self._fact_arrays().walk(self.relation_id(r), slot)[slot], values)
 
     def select_relevant_subgraph(self, head_relation, depth: int) -> "KnowledgeGraph":
         """Facts induced by entities within depth-1 relation hops of the
@@ -494,6 +496,21 @@ def _compile(kg: KnowledgeGraph, atom: Atom):
     )
 
 
+def _estimate(kg: KnowledgeGraph, catom, binding: dict) -> int:
+    """The joins' cost of catom under binding: its candidate count with one
+    argument bound, 0 with both, one more than its fact count with neither."""
+    r, s_var, s_key, o_var, o_key = catom
+    s_val = binding.get(s_key) if s_var else s_key
+    o_val = binding.get(o_key) if o_var else o_key
+    if s_val is not None and o_val is not None:
+        return 0
+    if s_val is not None:
+        return len(kg._sub_to_obj[r].get(s_val, ()))
+    if o_val is not None:
+        return len(kg._obj_to_sub[r].get(o_val, ()))
+    return 1 + kg._counts[r]
+
+
 def _ext_candidates(kg: KnowledgeGraph, catom, binding: dict):
     """Yield tuples of (var, value) additions satisfying catom under binding."""
     r, s_var, s_key, o_var, o_key = catom
@@ -504,11 +521,11 @@ def _ext_candidates(kg: KnowledgeGraph, catom, binding: dict):
             yield ()
         return
     if s_val is not None:
-        for o in kg.objects_of(r, s_val):
+        for o in kg._sub_to_obj[r].get(s_val, ()):
             yield ((o_key, o),)
         return
     if o_val is not None:
-        for s in kg.subjects_of(r, o_val):
+        for s in kg._obj_to_sub[r].get(o_val, ()):
             yield ((s_key, s),)
         return
     if s_key == o_key:

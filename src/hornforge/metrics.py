@@ -7,12 +7,14 @@ do the joining: `_satisfiable` answers whether a conjunction has a
 solution under a binding, and `projections` lists the distinct
 projections of its solutions onto chosen variables.  The generic
 denominators, rule application in predict.py and the top-down miner's
-witness values all go through `projections`.  The graph's one column
-join, `KnowledgeGraph.index_join`, covers hot shapes besides: for a body
-it covers, support counts the head facts whose head-variable values occur
-in its columns (`KnowledgeGraph.count_facts_among`), and both
-denominators count the distinct head keys of its columns, the PCA filter
-a mask on one of them.  The matrix oracle in
+witness values all go through `projections`.  Without object identity,
+the graph's one column join, `KnowledgeGraph.index_join`, takes any
+connected body of all-variable atoms instead: support counts the head
+facts whose head-variable values occur in its columns
+(`KnowledgeGraph.count_facts_among`), and both denominators count the
+distinct head keys of its columns, the PCA filter a mask on one of them.
+The generic searches keep constants, repeated variables, object identity
+and bodies connected only through the head.  The matrix oracle in
 matrix.py recomputes the same quantities for chain rules by a separate
 route and must always agree.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import sorted_unique
-from .kg import KnowledgeGraph, _compile, _ext_candidates
+from .kg import KnowledgeGraph, _compile, _estimate, _ext_candidates
 from .rules import Rule, is_connected, is_safe
 
 
@@ -40,19 +42,6 @@ def as_fraction(x) -> Fraction:
 
 
 # --- compiled-atom join machinery ----------------------------------------
-
-
-def _estimate(kg, catom, binding):
-    r, s_var, s_key, o_var, o_key = catom
-    s_val = binding.get(s_key) if s_var else s_key
-    o_val = binding.get(o_key) if o_var else o_key
-    if s_val is not None and o_val is not None:
-        return 0
-    if s_val is not None:
-        return len(kg.objects_of(r, s_val))
-    if o_val is not None:
-        return len(kg.subjects_of(r, o_val))
-    return 1 + kg.fact_count(r)
 
 
 def _apply_ext(binding, used, ext):
@@ -221,7 +210,7 @@ def support(kg: KnowledgeGraph, rule: Rule, object_identity: bool = False) -> in
 
 
 def head_coverage(kg, rule, object_identity=False) -> Fraction:
-    n = kg.fact_count(kg.relation_id(rule.head.relation))
+    n = kg.fact_count(rule.head.relation)
     if n == 0:
         raise ValueError("undefined head coverage: head relation has no facts")
     return Fraction(support(kg, rule, object_identity), n)

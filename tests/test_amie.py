@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import hornforge as hf
-from hornforge import MinerConfig, mine, parse_rule, refine_closing, refine_dangling, refine_instantiated, seed_rules
+from hornforge import MinerConfig, Rule, mine, parse_rule, refine_closing, refine_dangling, refine_instantiated, seed_rules
 from hornforge.amie import _ancestors, _closing_children, _viable_refinements, refine
 from oracles import all_closed_rules, brute_embeds, brute_support, random_kg
 
@@ -316,9 +316,9 @@ class TestWitnessSweep:
 
     @pytest.mark.parametrize("limit", [0, 4])
     def test_overrun_never_carries_a_count(self, monkeypatch, limit):
-        # two-atom parents of the default search are swept through
-        # index_join, three-atom parents and any under object identity
-        # through projections
+        # a parent overruns when its sweep returns (None, None): projections
+        # (object identity) stops once the solutions pass the limit, the
+        # column join once the rows of a partial join do
         loose = dict(min_head_coverage=TINY, min_confidence=TINY, enable_skyline=False)
         configs = [
             MinerConfig(**loose),
@@ -329,15 +329,20 @@ class TestWitnessSweep:
         runs = [(random_kg(rng), config) for config in configs for _ in range(12)]
         expected = [mine(kg, config) for kg, config in runs]
         monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", limit)
-        true_support = hf.amie.support
-        n_over = n_fine = 0
+        true_support, true_sweep = hf.amie.support, _viable_refinements
+        n_over = n_fine = n_partial = 0
         for (kg, config), want in zip(runs, expected):
             oi = config.object_identity
-            supported, swept = set(), []
+            supported, swept, overran = set(), [], {}
 
             def spy_support(kg_, rule, object_identity=False):
                 supported.add(rule)
                 return true_support(kg_, rule, object_identity)
+
+            def spy_sweep(kg_, rule, config_):
+                result = true_sweep(kg_, rule, config_)
+                overran[rule] = result == (None, None)
+                return result
 
             def spy_closing(kg_, rule, config_, closing=None):
                 kids = _closing_children(kg_, rule, config_, closing)
@@ -345,24 +350,38 @@ class TestWitnessSweep:
                 return kids
 
             monkeypatch.setattr(hf.amie, "support", spy_support)
+            monkeypatch.setattr(hf.amie, "_viable_refinements", spy_sweep)
             monkeypatch.setattr(hf.amie, "_closing_children", spy_closing)
             assert mine(kg, config) == want
             over, counted = [], set()
             for p, kids in swept:
-                if len(hf.enumerate_solutions(kg, p.atoms, oi)) > limit:
-                    over.append(p)
+                solutions = len(hf.enumerate_solutions(kg, p.atoms, oi))
+                if not overran[p]:
+                    assert solutions <= limit
+                    for child, count in kids.items():
+                        assert count == true_support(kg, child, oi), hf.render_rule(child, kg)
+                        assert child not in supported, hf.render_rule(child, kg)
+                    counted.update(kids)
+                    n_fine += 1
                     continue
-                for child, count in kids.items():
-                    assert count == true_support(kg, child, oi), hf.render_rule(child, kg)
-                    assert child not in supported, hf.render_rule(child, kg)
-                counted.update(kids)
-                n_fine += 1
+                over.append(p)
+                if len(p) <= 2 or oi:
+                    assert solutions > limit
+                elif solutions <= limit:
+                    n_partial += 1
+                    parts = [
+                        part
+                        for k in range(1, len(p))
+                        for part in itertools.combinations(p.atoms, k)
+                        if hf.is_connected(Rule(part[0], part[1:]))
+                    ]
+                    assert any(len(hf.enumerate_solutions(kg, part)) > limit for part in parts)
             for p in over:
                 for child in refine_closing(kg, p, config):
                     assert child in supported or child in counted
             n_over += len(over)
         assert n_over > 0
-        assert (n_fine > 0) == (limit > 0)
+        assert (n_fine > 0) == (limit > 0) == (n_partial > 0)
 
     def test_no_child_below_coverage_is_built(self, monkeypatch):
         config = MinerConfig(min_head_coverage=Fraction(1, 4), min_confidence=TINY)

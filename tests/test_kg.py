@@ -24,6 +24,7 @@ from hornforge import (
     evaluate,
     generate_negatives,
     head_coverage,
+    is_connected,
     load_triples,
     pca_body_size,
     projections,
@@ -263,7 +264,7 @@ class TestIndexes:
             if all(kg.has_pair(t.relation, sub[t.subject.index], sub[t.object.index]) for t in atoms)
         )
 
-    A, B, C = var(0), var(1), var(2)
+    A, B, C, D = var(0), var(1), var(2), var(3)
     ACCEPTED = [
         [(0, A, B)],
         [(0, B, A)],
@@ -283,21 +284,37 @@ class TestIndexes:
         [(0, A, B), (0, B, A)],
         [(0, A, B), (0, A, B)],
     ]
+    # three and four atoms: chains, cycles, a fork, a closed pair plus a
+    # dangling atom, one relation throughout, a repeated atom, and an
+    # input order whose second atom shares no variable with the first
+    LONGER = [
+        [(0, A, C), (1, C, D), (0, D, B)],
+        [(1, A, C), (0, C, D), (1, B, D), (0, B, A)],
+        [(0, A, B), (1, B, C), (0, C, A)],
+        [(0, A, B), (1, B, C), (0, C, D), (1, D, A)],
+        [(0, A, B), (1, A, C), (0, D, A)],
+        [(0, A, B), (1, B, A), (1, B, C)],
+        [(0, A, B), (1, B, A), (0, A, C), (1, D, C)],
+        [(0, A, B), (0, B, C), (0, C, D)],
+        [(0, A, B), (1, B, C), (0, A, B)],
+        [(0, A, B), (1, C, D), (0, B, C)],
+    ]
 
     def test_index_join_rows_are_the_solutions(self):
         a, b, c = self.A, self.B, self.C
         rejected = [
             [],
-            [(0, a, b), (1, b, c), (0, c, a)],
             [(0, a, const(0))],
+            [(0, a, b), (1, b, c), (0, c, const(0))],
             [(0, a, a)],
             [(0, a, b), (1, c, var(3))],
+            [(0, a, b), (1, b, c), (0, var(3), var(4))],
         ]
         rng = random.Random(31)
         for _ in range(20):
             kg = random_kg(rng, max_entities=6, max_relations=2, max_facts=30)
             n_rel = len(kg.relations)
-            for shape in self.ACCEPTED + self.SELF_JOINS:
+            for shape in self.ACCEPTED + self.SELF_JOINS + self.LONGER:
                 atoms = [Atom(r % n_rel, s, o) for r, s, o in shape]
                 cols, rows = self.join_rows(kg, atoms)
                 assert rows == self.brute_rows(kg, atoms, cols)
@@ -310,9 +327,10 @@ class TestIndexes:
             entities.intern(label)
         p, q, empty = (relations.intern(label) for label in ("p", "q", "empty"))
         kg = KnowledgeGraph(entities, relations, {(0, p, 1), (1, q, 2), (1, p, 1)})
-        for shape in self.ACCEPTED + self.SELF_JOINS:
-            for second in (empty, q):
-                atoms = [Atom(r, s, o) for r, (_, s, o) in zip((empty, second), shape)]
+        for shape in self.ACCEPTED + self.SELF_JOINS + self.LONGER:
+            for other, at in itertools.product((empty, q), range(len(shape))):
+                # the empty relation at one position, `other` at the rest
+                atoms = [Atom(empty if k == at else other, s, o) for k, (_, s, o) in enumerate(shape)]
                 cols, rows = self.join_rows(kg, atoms)
                 assert rows == [] == self.brute_rows(kg, atoms, cols)
                 assert self.join_rows(kg, atoms, 0) == (cols, [])
@@ -346,6 +364,40 @@ class TestIndexes:
                         assert got == (cols, rows)
                         kept += 1
         assert cut > 0 and kept > 0
+
+    def test_index_join_cutoff_on_longer_joins(self):
+        # more solutions than cutoff always cut; columns, when returned, are
+        # the solutions; a cut means some connected part of the conjunction,
+        # the partial join that stopped, has more than cutoff solutions
+        rng = random.Random(35)
+        cut = kept = partial = 0
+        for _ in range(12):
+            kg = random_kg(rng, max_entities=5, max_relations=2, max_facts=25)
+            n_rel = len(kg.relations)
+            for shape in self.LONGER:
+                atoms = [Atom(r % n_rel, s, o) for r, s, o in shape]
+                cols, rows = self.join_rows(kg, atoms)
+                parts = [
+                    part
+                    for k in range(1, len(atoms) + 1)
+                    for part in itertools.combinations(atoms, k)
+                    if is_connected(Rule(part[0], part[1:]))
+                ]
+                worst = max(
+                    len(self.brute_rows(kg, part, sorted({v for t in part for v in t.variables()})))
+                    for part in parts
+                )
+                for cutoff in {0, len(rows) - 1, len(rows), len(rows) + 1, worst - 1, worst} - {-1}:
+                    got = self.join_rows(kg, atoms, cutoff)
+                    assert got[0] == cols
+                    if got[1] is None:
+                        assert worst > cutoff
+                        cut += 1
+                        partial += len(rows) <= cutoff
+                    else:
+                        assert len(rows) <= cutoff and got[1] == rows
+                        kept += 1
+        assert cut > 0 and kept > 0 and partial > 0
 
 
 class TestRelationId:
@@ -398,6 +450,30 @@ class TestRelationId:
             rule = Rule(Atom(p, a, b), (Atom(p, a, c), Atom(bad, c, b)))
         with pytest.raises(ValueError, match="unknown relation"):
             self.RULE_ENTRY_POINTS[entry](kg, rule)
+
+    ACCESSORS = {
+        "fact_count": lambda kg, r: kg.fact_count(r),
+        "pairs": lambda kg, r: kg.pairs(r),
+        "objects_of": lambda kg, r: kg.objects_of(r, kg.entity_id("b")),
+        "subjects_of": lambda kg, r: kg.subjects_of(r, kg.entity_id("b")),
+        "subjects": lambda kg, r: kg.subjects(r),
+        "objects": lambda kg, r: kg.objects(r),
+        "has_subject": lambda kg, r: kg.has_subject(r, kg.entity_id("b")),
+        "has_object": lambda kg, r: kg.has_object(r, kg.entity_id("b")),
+        "count_facts_among": lambda kg, r: kg.count_facts_among(r),
+        "count_facts_among, subjects": lambda kg, r: kg.count_facts_among(r, np.arange(3)),
+        "has_endpoints": lambda kg, r: kg.has_endpoints(r, np.arange(3), "object"),
+    }
+
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["-1", "len(relations)"])
+    @pytest.mark.parametrize("accessor", sorted(ACCESSORS))
+    def test_accessor_rejects_out_of_range_id(self, accessor, bad):
+        # unchecked, -1 reads q's facts and len(relations) raises IndexError
+        kg = KnowledgeGraph.from_label_triples([("a", "p", "b"), ("b", "q", "c"), ("b", "p", "c")])
+        assert len(kg.relations) == 2
+        self.ACCESSORS[accessor](kg, kg.relation_id("q"))
+        with pytest.raises(ValueError, match="unknown relation"):
+            self.ACCESSORS[accessor](kg, bad)
 
 
 class TestRelationStats:
@@ -510,8 +586,8 @@ class TestAdjacency:
 
 class TestMemory:
     def test_graph_bytes_per_fact(self):
-        # tracemalloc on Python 3.11: 599 B/fact with one (s, o) tuple per
-        # fact shared by the pair indexes, 858 with copies in each
+        # tracemalloc on Python 3.11: 423 B/fact as built, 484 once the
+        # first column join has made the int64 fact arrays
         spec = importlib.util.spec_from_file_location("kg_memory", _KG_MEMORY)
         kg_memory = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(kg_memory)

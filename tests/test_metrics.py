@@ -21,6 +21,8 @@ from hornforge import (
     lazy_denominator,
     load_triples,
     marginal_weight,
+    matrix_cwa_body_size,
+    matrix_support,
     parse_rule,
     pca_body_size,
     pca_confidence,
@@ -163,10 +165,10 @@ def _probe_graph(p_density, q_density, seed):
 
 
 class TestSupportFastPath:
-    """Every body shape support counts off KnowledgeGraph.index_join's
-    columns, against brute force, on graphs where either body atom holds
-    the more facts; the generic join must not run.  The shapes it leaves to
-    the generic join must still take it."""
+    """Body shapes support counts off KnowledgeGraph.index_join's columns,
+    against brute force, on graphs where either of p and q holds the more
+    facts; the generic join must not run.  The shapes it leaves to the
+    generic join must still take it."""
 
     GRAPHS = [_probe_graph(0.6, 0.1, 1), _probe_graph(0.1, 0.6, 2), _probe_graph(0.3, 0.3, 3)]
 
@@ -194,6 +196,9 @@ class TestSupportFastPath:
             # a dangling chain holding one head variable, on either head slot
             "p(?a, ?c) & q(?c, ?d)",
             "p(?d, ?c) & q(?c, ?b)",
+            # three atoms: a chain, and a four-atom body closing a cycle
+            "p(?a, ?c) & q(?c, ?d) & p(?d, ?b)",
+            "p(?a, ?c) & q(?c, ?d) & p(?d, ?b) & q(?b, ?a)",
         ],
     )
     def test_matches_brute_force(self, body, monkeypatch):
@@ -210,10 +215,10 @@ class TestSupportFastPath:
         [
             "p(?a, e0) & q(?a, ?b) => h(?a, ?b)",  # a constant in a body atom
             "p(?a, ?a) & q(?a, ?b) => h(?a, ?b)",  # a repeated-variable atom
-            "p(?a, ?c) & q(?c, ?d) & p(?d, ?b) => h(?a, ?b)",  # three atoms
             "p(?a, ?c) & q(?c, ?b) => h(e0, ?b)",  # a head constant
             "p(?a, ?c) & q(?c, ?a) => h(?a, ?a)",  # a repeated head variable
             "p(?c, ?a) & q(?b, ?d) => h(?a, ?b)",  # two atoms sharing no variable
+            "p(?a, ?c) & q(?c, ?d) & p(?b, ?e) => h(?a, ?b)",  # linked only through the head
         ],
     )
     def test_uncovered_shapes_take_generic_join(self, text, monkeypatch):
@@ -251,6 +256,10 @@ class TestDenominatorIndexPath:
             # a fork and a closed pair
             "p(?a, ?b) & q(?a, ?c) => h(?a, ?b)",
             "p(?a, ?b) & q(?b, ?a) => h(?a, ?b)",
+            # three-atom chains
+            "p(?a, ?c) & q(?c, ?d) & p(?d, ?b) => h(?a, ?b)",
+            "p(?c, ?a) & q(?d, ?c) & q(?b, ?d) => h(?a, ?b)",
+            "q(?a, ?c) & p(?d, ?c) & p(?d, ?b) => h(?a, ?b)",
             # a head with a constant, and a head with a repeated variable
             "p(?a, ?c) & q(?c, ?b) => h(e0, ?b)",
             "p(?a, ?c) & q(?c, ?a) => h(?a, ?a)",
@@ -274,6 +283,36 @@ class TestDenominatorIndexPath:
                 assert size(None) == expected
                 assert size(expected) == expected
                 assert size(expected - 1) is None
+
+
+class TestThreeAtomChains:
+    def test_index_matrix_and_brute_routes_agree(self, monkeypatch):
+        # every three-atom chain body, in every orientation, is counted off
+        # the column join; the matrix route and brute force recount it
+        def generic_join(*args, **kwargs):
+            raise AssertionError("a three-atom chain took the generic join")
+
+        rng = random.Random(73)
+        graphs = [random_kg(rng, max_entities=5, max_relations=2, max_facts=20) for _ in range(50)]
+        monkeypatch.setattr(metrics, "_satisfiable", generic_join)
+        monkeypatch.setattr(metrics, "projections", generic_join)
+        x, y, z, w = var(0), var(1), var(2), var(3)
+        checked = supported = 0
+        for kg in graphs:
+            for r1, r2, r3 in itertools.product(range(len(kg.relations)), repeat=3):
+                for body in itertools.product(
+                    (Atom(r1, x, z), Atom(r1, z, x)),
+                    (Atom(r2, z, w), Atom(r2, w, z)),
+                    (Atom(r3, w, y), Atom(r3, y, w)),
+                ):
+                    rule = Rule(Atom(0, x, y), body)
+                    bm = brute_metrics(kg, rule)
+                    assert support(kg, rule) == matrix_support(kg, rule) == bm.support
+                    assert cwa_body_size(kg, rule) == matrix_cwa_body_size(kg, rule) == bm.cwa_body_size
+                    checked += 1
+                    supported += bm.support > 0
+        assert checked >= 1000 and supported > 0
+
 
 class TestHeadCoverage:
     def test_running_example(self, sample_kg, rule_r):

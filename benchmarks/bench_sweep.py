@@ -7,10 +7,13 @@ sweep over all of those parents, best of --repeat passes.  Prints, per
 graph: the number of parents, how many of them the sweep read off the
 column join (`KnowledgeGraph.index_join`) and how many through
 `projections`, how many overran the witness limit, how many closing
-entries the sweeps found and how many of those reach head coverage (the
-only ones `mine` builds), a digest of the (closing, dangling) results,
-and the seconds of the best pass.  The digest depends only on the
-results, so two trees whose sweeps agree print the same digest.
+atoms reach head coverage and carry their child's support (the only
+closing children `mine` builds), a digest of the results, and the
+seconds of the best pass.  The digest is taken over one normal form per
+parent, {atom: its child's support or None} for the atoms at or above
+head coverage, which both the sweep's `{atom: support or None}` dict and
+its older `(closing, dangling)` pair map to; so two trees whose sweeps
+agree print the same digest, whichever of the two they return.
 
 - mine-topdown: the benchmark's mine-topdown graph for seed 1 (1,000
   entities, 20 relations, 10,000 facts, r01 . r02 => r00 planted),
@@ -99,24 +102,32 @@ def swept_parents(kg, config):
     return parents, len(generic)
 
 
-def digest(results):
-    h = hashlib.sha256()
-    for closing, dangling in results:
-        if closing is None:
-            h.update(b"overrun\n")
-        else:
-            h.update(repr((sorted(closing.items()), sorted(dangling))).encode() + b"\n")
-    return h.hexdigest()[:16]
-
-
-def reaching_coverage(kg, config, parents, results):
-    """The number of closing entries whose count reaches
-    `min_head_coverage` times the parent's head facts."""
-    return sum(
-        n >= config.min_head_coverage * kg.fact_count(rule.head.relation)
-        for rule, (closing, _) in zip(parents, results)
-        for n in (closing or {}).values()
+def normal_form(kg, config, rule, result):
+    """{atom: count or None} at or above head coverage, sorted by atom, or
+    None on an overrun, from either return form of the sweep."""
+    if not isinstance(result, tuple):
+        entries = result
+    elif result[0] is None:
+        entries = None
+    else:
+        closing, dangling = result
+        fresh = hf.var(max(rule.variables()) + 1)
+        entries = {hf.Atom(r, hf.var(a), hf.var(b)): n for (r, a, b), n in closing.items()}
+        for r, v, subject_side in dangling:
+            entries[hf.Atom(r, hf.var(v), fresh) if subject_side else hf.Atom(r, fresh, hf.var(v))] = None
+    if entries is None:
+        return None
+    floor = config.min_head_coverage * kg.fact_count(rule.head.relation)
+    return sorted(
+        ((atom, n) for atom, n in entries.items() if n is None or n >= floor), key=lambda e: e[0].key()
     )
+
+
+def digest(forms):
+    h = hashlib.sha256()
+    for form in forms:
+        h.update(b"overrun\n" if form is None else repr(form).encode() + b"\n")
+    return h.hexdigest()[:16]
 
 
 def main():
@@ -133,13 +144,13 @@ def main():
             results = [amie._viable_refinements(kg, rule, config) for rule in parents]
             elapsed = time.perf_counter() - t0
             best = elapsed if best is None else min(best, elapsed)
-        overruns = sum(closing is None for closing, _ in results)
-        found = sum(len(closing or {}) for closing, _ in results)
+        forms = [normal_form(kg, config, rule, result) for rule, result in zip(parents, results)]
+        overruns = sum(form is None for form in forms)
+        counted = sum(n is not None for form in forms for _, n in form or ())
         print(
             f"{name:<13} parents {len(parents):>5}  columns {len(parents) - generic:>5}  "
-            f"projections {generic:>5}  overruns {overruns:>3}  "
-            f"closing {found:>6}  covered {reaching_coverage(kg, config, parents, results):>5}  "
-            f"digest {digest(results)}  {best:8.3f} s"
+            f"projections {generic:>5}  overruns {overruns:>3}  counted {counted:>5}  "
+            f"digest {digest(forms)}  {best:8.3f} s"
         )
 
 

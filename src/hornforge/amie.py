@@ -1,18 +1,23 @@
 """Top-down rule mining by operator refinement.
 
-Level-synchronous search: level 0 is the seed head atoms; each level is
-evaluated, emitted and refined with dangling / closing / instantiated
-atoms.  Expansion is gated on head coverage, output on confidence with
-lazy denominator counting, and a rule that fails to strictly improve
-on the confidence of an emitted ancestor is dropped (skyline): the
-canonical forms `_ancestors` lists are looked up among the emitted
-rules.  All candidate ordering is canonical so results are
-byte-identical across runs.
+Level-synchronous search: level 0 is the seed head atoms, and each level
+is one loop over its candidates in canonical order.  A candidate takes
+the support its parent's witness sweep counted, or counts it with
+`metrics.support`, and is dropped below `min_head_coverage`.  A closed
+candidate is then scored, its confidence gated with lazy denominator
+counting, and emitted unless it fails to strictly improve on the
+confidence of an emitted ancestor (skyline): the canonical forms
+`_ancestors` lists are looked up among the rules of earlier levels.
+Unless it is at `max_len` or a perfect rule under the skyline, it is
+then swept and refined into the next level.  All candidate ordering is
+canonical so results are byte-identical across runs.
 
 `_slots` is the one closability rule: the closing pairs, dangling and
 instantiable variables of a parent whose child can still close within
 `max_len`.  The operators build children only there and the sweep below
-reads only there.
+reads only there.  `_children` is the one builder: in the level loop and
+in the public operators, each child is the canonical form of its parent
+plus one atom, mapped to the support the sweep counted for it, or None.
 
 Before a parent is refined, one witness sweep reads its full solutions
 and keeps only the dangling and closing atoms some solution realizes, so
@@ -20,18 +25,19 @@ children without support are never built.  The solutions are int64
 columns, one per variable: from the column join
 `KnowledgeGraph.index_join` for rules whose atoms are each over two
 distinct variables, without object identity, and from
-`metrics.projections` onto all of the rule's variables otherwise.  The sweep is a few array calls per parent
-with no per-row Python loop, and it also counts the support of each
-closing child (AMIE's count projection): the distinct head keys of the
-rows that realize its atom.  The level loop builds only the closing
-children whose count reaches `min_head_coverage` of the head's facts (a
-child below it would be neither emitted nor refined, so children below
-head coverage are never built) and carries that count to the child's
-evaluation; dangling and instantiated children get their support from
-`metrics.support`.  The sweep overruns past _WITNESS_LIMIT rows, of
-the solutions or of one of the column join's partial joins: it then
-prunes nothing and counts nothing for that parent, which only lets
-zero-support children through, so the mined rules do not change.
+`metrics.projections` onto all of the rule's variables otherwise.  The
+sweep is a few array calls per parent with no per-row Python loop, and
+it also counts the support of each closing child (AMIE's count
+projection): the distinct head keys of the rows that realize its atom.
+It keeps only the closing atoms whose count reaches `min_head_coverage`
+of the head's facts (a child below it would be neither emitted nor
+refined, so children below head coverage are never built), and the
+level loop carries that count to the child; dangling and instantiated
+children get their support from `metrics.support`.  The sweep overruns
+past `metrics.ROW_LIMIT` rows, of the solutions or of one of the column
+join's partial joins: that parent then builds every closing and dangling
+child with no count, which only adds children the level loop drops, so
+the mined rules do not change.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from . import metrics
 from .kg import KnowledgeGraph
 from .metrics import (
     RuleMetrics,
@@ -62,8 +69,6 @@ from .rules import (
     sort_key,
     var,
 )
-
-_WITNESS_LIMIT = 200_000
 
 
 @dataclass
@@ -136,70 +141,63 @@ def _slots(rule: Rule, max_len: int):
     return pairs, dangling, instantiable
 
 
-def _children(rule: Rule, atoms):
-    """The children adding one of `atoms` (those not already in the rule):
-    canonical, deduplicated, in canonical order."""
-    children = {
-        canonicalize(Rule(rule.head, rule.body + (atom,))) for atom in atoms if atom not in rule.atoms
+def _children(rule: Rule, counted):
+    """{canonical child: its support or None}: for each atom that `counted`
+    maps to its child's support or None, the child adding it, unless the
+    rule already holds that atom."""
+    return {
+        canonicalize(Rule(rule.head, rule.body + (atom,))): n
+        for atom, n in counted.items()
+        if atom not in rule.atoms
     }
-    return sorted(children, key=sort_key)
 
 
-def refine_dangling(kg, rule: Rule, config: MinerConfig, viable=None):
-    """Children extending the body with one fresh-variable atom.  `viable`
-    is None (every dangling slot) or the witness sweep's set of the
-    (r, v, subject side) slots worth building."""
-    if viable is None:
-        viable = [
-            (r, v, subject_side)
-            for v in _slots(rule, config.max_len)[1]
-            for r in range(len(kg.relations))
-            for subject_side in (True, False)
-        ]
+def _slot_atoms(kg, rule: Rule, config: MinerConfig):
+    """(closing, dangling): every atom over two existing variables, and every
+    atom joining an existing variable to a fresh one, in the slots of _slots."""
+    pairs, dangling, _ = _slots(rule, config.max_len)
     fresh = var(max(rule.variables(), default=-1) + 1)
-    atoms = [Atom(r, var(v), fresh) if side else Atom(r, fresh, var(v)) for r, v, side in viable]
-    return _children(rule, atoms)
+    rels = range(len(kg.relations))
+    closing = [Atom(r, var(a), var(b)) for a, b in pairs for r in rels]
+    ends = [(var(v), fresh) for v in dangling] + [(fresh, var(v)) for v in dangling]
+    return closing, [Atom(r, s, o) for s, o in ends for r in rels]
 
 
-def _closing_children(kg, rule: Rule, config: MinerConfig, closing=None):
-    """{canonical child: its support or None} for the children adding one
-    atom over two existing variables.  `closing` is None (build them all,
-    supports unknown) or the witness sweep's dict from each (r, a, b) worth
-    building to the support of the child adding r(a, b)."""
-    if closing is None:
-        slots = _slots(rule, config.max_len)[0]
-        closing = dict.fromkeys((r, a, b) for a, b in slots for r in range(len(kg.relations)))
-    children = {}
-    for (r, a, b), n in closing.items():
-        atom = Atom(r, var(a), var(b))
-        if atom not in rule.atoms:
-            children[canonicalize(Rule(rule.head, rule.body + (atom,)))] = n
-    return children
-
-
-def refine_closing(kg, rule: Rule, config: MinerConfig):
-    """Children extending the body with one atom over two existing variables."""
-    return sorted(_closing_children(kg, rule, config), key=sort_key)
-
-
-def refine_instantiated(kg, rule: Rule, config: MinerConfig):
-    """Children adding one atom that joins an existing variable to a constant.
+def _instantiated_atoms(kg, rule: Rule, config: MinerConfig):
+    """The atoms joining an instantiable variable to a constant.
 
     Constants are drawn from the rule's own support witnesses, so every
     child has support at least one.  Each variable's witness values are
     listed on their own, so memory stays bounded by the distinct values
     rather than by the number of witnesses.
     """
-    if not config.enable_instantiation:
-        return []
     atoms = set()
+    if not config.enable_instantiation:
+        return atoms
     for v in _slots(rule, config.max_len)[2]:
         for (val,) in projections(kg, rule.atoms, (v,), None, config.object_identity):
             for r, o in kg.out_edges(val):
                 atoms.add(Atom(r, var(v), const(o)))
             for r, s in kg.in_edges(val):
                 atoms.add(Atom(r, const(s), var(v)))
-    return _children(rule, atoms)
+    return atoms
+
+
+def refine_dangling(kg, rule: Rule, config: MinerConfig):
+    """Children extending the body with one fresh-variable atom."""
+    return sorted(_children(rule, dict.fromkeys(_slot_atoms(kg, rule, config)[1])), key=sort_key)
+
+
+def refine_closing(kg, rule: Rule, config: MinerConfig):
+    """Children extending the body with one atom over two existing variables."""
+    return sorted(_children(rule, dict.fromkeys(_slot_atoms(kg, rule, config)[0])), key=sort_key)
+
+
+def refine_instantiated(kg, rule: Rule, config: MinerConfig):
+    """Children adding one atom that joins an existing variable to a
+    constant of the rule's support witnesses (see _instantiated_atoms)."""
+    atoms = _instantiated_atoms(kg, rule, config)
+    return sorted(_children(rule, dict.fromkeys(atoms)), key=sort_key)
 
 
 def refine(kg, rule: Rule, config: MinerConfig):
@@ -213,7 +211,8 @@ def refine(kg, rule: Rule, config: MinerConfig):
 
 
 def _viable_refinements(kg, rule: Rule, config: MinerConfig):
-    """(closing, dangling) viability from the rule's solution witnesses.
+    """{atom: its child's support or None} for the closing and dangling
+    atoms worth building, read off the rule's solution witnesses.
 
     A closing atom r(a, b) or dangling atom on variable v can only yield a
     child with support > 0 if some witness already realizes it, so blind
@@ -223,18 +222,19 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
     each atom is over two distinct variables and object identity is off,
     and otherwise from `projections` onto all of the rule's variables,
     converted once.
-    A closing atom adds no variable, so `closing` maps each (r, a, b) to
-    its child's support: the distinct head keys of the rows that realize
-    r(a, b), all closing pairs counted in one `kg.linked_head_counts`
-    call.  Each dangling variable is one `kg.incident_relations` call.
-    Returns (None, None) when the rows, or those of a partial column
-    join, overrun _WITNESS_LIMIT.
+    A closing atom adds no variable, so it maps to its child's support:
+    the distinct head keys of the rows that realize r(a, b), all closing
+    pairs counted in one `kg.linked_head_counts` call.  Only the closing
+    atoms whose count reaches `min_head_coverage` of the head's facts are
+    kept.  Each dangling variable is one `kg.incident_relations` call, and
+    its atoms map to None.  Returns None when the rows, or those of a
+    partial column join, overrun `metrics.ROW_LIMIT`.
     """
-    pairs_needed, dangling_vars, _ = _slots(rule, config.max_len)
-    joined = None if config.object_identity else kg.index_join(rule.atoms, _WITNESS_LIMIT)
+    pairs, dangling_vars, _ = _slots(rule, config.max_len)
+    joined = None if config.object_identity else kg.index_join(rule.atoms, metrics.ROW_LIMIT)
     if joined is None:
         cols = rule.variables()
-        rows = projections(kg, rule.atoms, cols, None, config.object_identity, _WITNESS_LIMIT)
+        rows = projections(kg, rule.atoms, cols, None, config.object_identity, metrics.ROW_LIMIT)
         columns = None
         if rows is not None:
             flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * len(cols))
@@ -243,56 +243,23 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
         cols, columns = joined
         columns = None if columns is None else np.stack(columns)
     if columns is None:
-        return None, None  # witness overrun: prune nothing, count nothing
+        return None  # witness overrun
     at = {v: i for i, v in enumerate(cols)}
     hvars = rule.head_variables()
     heads = columns[at[hvars[0]]] * len(kg.entities) + columns[at[hvars[-1]]]
-    closing = {}
-    if pairs_needed:
-        a, b = ([at[v] for v in side] for side in zip(*pairs_needed))
-        counts = kg.linked_head_counts(columns[a], columns[b], heads)
-        closing = {(r, *pairs_needed[i]): count for (i, r), count in counts.items()}
-    dangling = set()
+    counted = {}
+    if pairs:
+        floor = config.min_head_coverage * kg.fact_count(rule.head.relation)
+        a, b = ([at[v] for v in side] for side in zip(*pairs))
+        for (i, r), n in kg.linked_head_counts(columns[a], columns[b], heads).items():
+            if n >= floor:  # a child below head coverage is neither emitted nor refined
+                counted[Atom(r, var(pairs[i][0]), var(pairs[i][1]))] = n
+    fresh = var(max(cols) + 1)
     for v in dangling_vars:
         out_rels, in_rels = kg.incident_relations(columns[at[v]])
-        dangling.update((r, v, True) for r in out_rels)
-        dangling.update((r, v, False) for r in in_rels)
-    return closing, dangling
-
-
-@dataclass
-class _Record:
-    rule: Rule
-    support: int
-    head_fact_count: int
-    closed: bool
-    confidence: Fraction | None = None
-    metrics: RuleMetrics | None = None
-
-    @property
-    def head_coverage(self) -> Fraction:
-        return Fraction(self.support, self.head_fact_count)
-
-
-def _evaluate_candidate(kg, rule: Rule, config: MinerConfig, supp=None) -> _Record:
-    """The rule's record; `supp` is its support when a witness sweep
-    already counted it."""
-    if supp is None:
-        supp = support(kg, rule, config.object_identity)
-    rec = _Record(
-        rule=rule,
-        support=supp,
-        head_fact_count=kg.fact_count(rule.head.relation),
-        closed=is_closed(rule),
-    )
-    if rec.head_coverage < config.min_head_coverage or not rec.closed or supp == 0:
-        return rec
-    rec.metrics = gated_metrics(
-        kg, rule, config.confidence_kind, config.min_confidence, supp, config.object_identity
-    )
-    if rec.metrics is not None:
-        rec.confidence = rec.metrics.confidence(config.confidence_kind)
-    return rec
+        counted.update((Atom(r, var(v), fresh), None) for r in out_rels)
+        counted.update((Atom(r, fresh, var(v)), None) for r in in_rels)
+    return counted
 
 
 def _ancestors(rule: Rule):
@@ -314,37 +281,36 @@ def mine(kg: KnowledgeGraph, config: MinerConfig = None):
     rule text."""
     if config is None:
         config = MinerConfig()
+    kind, oi = config.confidence_kind, config.object_identity
     emitted = {}  # rule -> (metrics, confidence), in emission order
-    children = seed_rules(kg)
-    carried = {}  # child -> support counted by its parent's witness sweep
-    while children:
-        records = [_evaluate_candidate(kg, r, config, carried.get(r)) for r in children]
-        for rec in records:
-            if rec.metrics is None:
+    # candidate -> the support its parent's sweep counted, or None
+    level = dict.fromkeys(seed_rules(kg))
+    while level:
+        children = {}  # all of one length, so no earlier level built them
+        for rule in sorted(level, key=sort_key):
+            supp = level[rule]
+            if supp is None:
+                supp = support(kg, rule, oi)
+            if supp < config.min_head_coverage * kg.fact_count(rule.head.relation):
                 continue
-            # ancestors are shorter, so they were emitted at earlier levels
-            ancestors = _ancestors(rec.rule) if config.enable_skyline else ()
-            if not any(anc in emitted and rec.confidence <= emitted[anc][1] for anc in ancestors):
-                emitted[rec.rule] = (rec.metrics, rec.confidence)
-        children = set()  # all of one length, so no earlier level built them
-        carried = {}
-        for rec in records:
-            if (
-                rec.head_coverage < config.min_head_coverage
-                or len(rec.rule) >= config.max_len
-                or (config.enable_skyline and rec.closed and rec.confidence == 1)
-            ):
+            confidence = None
+            if is_closed(rule):
+                scored = gated_metrics(kg, rule, kind, config.min_confidence, supp, oi)
+                if scored is not None:
+                    confidence = scored.confidence(kind)
+                    # ancestors are shorter, so they were emitted at earlier levels
+                    ancestors = _ancestors(rule) if config.enable_skyline else ()
+                    if not any(a in emitted and confidence <= emitted[a][1] for a in ancestors):
+                        emitted[rule] = (scored, confidence)
+            if len(rule) >= config.max_len or (config.enable_skyline and confidence == 1):
                 continue
-            closing_viable, dangling_viable = _viable_refinements(kg, rec.rule, config)
-            if closing_viable is not None:
-                # a child below head coverage is neither emitted nor refined
-                floor = config.min_head_coverage * rec.head_fact_count
-                closing_viable = {k: n for k, n in closing_viable.items() if n >= floor}
-            closing = _closing_children(kg, rec.rule, config, closing_viable)
-            carried.update((child, n) for child, n in closing.items() if n is not None)
-            children.update(refine_dangling(kg, rec.rule, config, viable=dangling_viable))
-            children.update(closing)
-            children.update(refine_instantiated(kg, rec.rule, config))
-        children = sorted(children, key=sort_key)
-    mined = [MinedRule(rule, metrics) for rule, (metrics, _) in emitted.items()]
-    return sort_mined(kg, mined, config.confidence_kind)
+            atoms = _viable_refinements(kg, rule, config)
+            if atoms is None:  # witness overrun: every closing and dangling atom, no count
+                atoms = dict.fromkeys(chain(*_slot_atoms(kg, rule, config)))
+            atoms.update(dict.fromkeys(_instantiated_atoms(kg, rule, config)))
+            for child, n in _children(rule, atoms).items():
+                if children.get(child) is None:  # a count another parent carried stays
+                    children[child] = n
+        level = children
+    mined = [MinedRule(rule, scored) for rule, (scored, _) in emitted.items()]
+    return sort_mined(kg, mined, kind)

@@ -248,9 +248,10 @@ class KnowledgeGraph:
 
     def relation_id(self, relation) -> int:
         """Id of a relation given by label or by id; ValueError when the
-        label is unknown or the id lies outside [0, len(relations))."""
+        label is unknown or the id is not one of the relations the graph was
+        built with."""
         rid = self.relations.get(relation) if isinstance(relation, str) else relation
-        if rid is None or not 0 <= rid < len(self.relations):
+        if rid is None or not 0 <= rid < len(self._counts):
             raise ValueError(f"unknown relation: {relation!r}")
         return rid
 
@@ -280,7 +281,7 @@ class KnowledgeGraph:
         whose constants never occur yields nothing.
         """
         base = {} if bindings is None else bindings
-        if not 0 <= atom.relation < len(self.relations):
+        if not 0 <= atom.relation < len(self._counts):
             return
         for ext in _ext_candidates(self, _compile(self, atom), base):
             merged = dict(base)
@@ -289,7 +290,7 @@ class KnowledgeGraph:
 
     def _fact_arrays(self) -> _FactArrays:
         if self._arrays is None:
-            self._arrays = _FactArrays(self._fact_list, len(self.relations), len(self.entities))
+            self._arrays = _FactArrays(self._fact_list, len(self._counts), len(self.entities))
         return self._arrays
 
     def index_join(self, atoms, cutoff=None):
@@ -342,14 +343,16 @@ class KnowledgeGraph:
             if slot is None:  # both variables bound: keep the rows that are its facts
                 keys = columns[variables.index(s)] * arrays.n + columns[variables.index(o)]
                 hit = _in_sorted(walked[0] * arrays.n + walked[1], keys)
-                if cutoff is not None and np.count_nonzero(hit) > cutoff:
+                if cutoff is not None and hit.size > cutoff and np.count_nonzero(hit) > cutoff:
                     return variables, None
                 columns = [c[hit] for c in columns]
                 continue
             needles = columns[variables.index((s, o)[slot])]
             lo = walked[slot].searchsorted(needles, "left")
             lengths = walked[slot].searchsorted(needles, "right") - lo
-            if cutoff is not None and int(lengths.sum()) > cutoff:
+            # each row expands to at most the walked facts: most small joins skip the sum
+            bound = cutoff is not None and needles.size * walked[slot].size > cutoff
+            if bound and int(lengths.sum()) > cutoff:
                 return variables, None
             columns = [c.repeat(lengths) for c in columns]
             columns.append(take_ranges(walked[1 - slot], lo, lengths))

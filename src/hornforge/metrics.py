@@ -172,11 +172,17 @@ def _bind_head_fact(head, s, o):
 # --- core measures --------------------------------------------------------
 
 
+# the most rows a column join builds, for a measure or for the top-down
+# miner's witness sweep; past it the measure takes the generic join
+ROW_LIMIT = 200_000
+
+
 def _body_columns(kg, rule, object_identity):
     """{variable: int64 column} of kg.index_join over the rule's body; None
-    under object identity or for a body index_join does not cover."""
-    joined = None if object_identity else kg.index_join(rule.body)
-    return None if joined is None else dict(zip(*joined))
+    under object identity, for a body index_join does not cover, or when
+    the join overruns ROW_LIMIT."""
+    joined = None if object_identity else kg.index_join(rule.body, ROW_LIMIT)
+    return None if joined is None or joined[1] is None else dict(zip(*joined))
 
 
 def support(kg: KnowledgeGraph, rule: Rule, object_identity: bool = False) -> int:

@@ -8,7 +8,7 @@ import pytest
 
 import hornforge as hf
 from hornforge import MinerConfig, Rule, mine, parse_rule, refine_closing, refine_dangling, refine_instantiated, seed_rules
-from hornforge.amie import _ancestors, _closing_children, _viable_refinements, refine
+from hornforge.amie import _ancestors, _children, _viable_refinements, refine
 from oracles import all_closed_rules, brute_embeds, brute_support, random_kg
 
 TINY = Fraction(1, 10**9)
@@ -112,10 +112,6 @@ class TestRefineDangling:
         closed_rule = canon("nationality(?a, ?b) => speaks(?a, ?b)", sample_kg)
         assert refine_dangling(sample_kg, closed_rule, MinerConfig(max_len=3)) == []
 
-    def test_viability_filter(self, sample_kg):
-        seed = seed_rules(sample_kg)[0]
-        assert refine_dangling(sample_kg, seed, MinerConfig(), viable=set()) == []
-
 
 class TestRefineClosing:
     def test_seed_children(self, sample_kg):
@@ -198,7 +194,7 @@ class TestRefineInstantiated:
         cfg = MinerConfig(enable_instantiation=True)
         expected = refine_instantiated(sample_kg, speaks_seed, cfg)
         assert expected
-        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", 1)
+        monkeypatch.setattr("hornforge.metrics.ROW_LIMIT", 1)
         assert refine_instantiated(sample_kg, speaks_seed, cfg) == expected
 
 
@@ -238,30 +234,30 @@ class TestWitnessSweep:
     """_viable_refinements against brute-force support of every child."""
 
     def check(self, kg, config, parents):
-        """Pruning keeps exactly the supported children, and every parent
-        carries a count for each of its pruned closing children, equal to
-        that child's support.  Returns the number carried."""
+        """Pruning keeps exactly the closing children whose support reaches
+        head coverage, each carrying that support, and exactly the
+        supported dangling children, with no count.  Returns the number
+        carried."""
         oi = config.object_identity
         n_carried = 0
         for rule in parents:
-            closing, dangling = _viable_refinements(kg, rule, config)
-            assert closing is not None
-            counts = _closing_children(kg, rule, config, closing)
-            for child, count in counts.items():
-                assert count == brute_support(kg, child, oi), hf.render_rule(child, kg)
-            n_carried += len(counts)
-            pruned_by_op = (
-                (refine_closing, sorted(counts, key=hf.sort_key)),
-                (refine_dangling, refine_dangling(kg, rule, config, viable=dangling)),
-            )
-            for op, pruned in pruned_by_op:
-                unpruned = op(kg, rule, config)
-                supported = [c for c in unpruned if brute_support(kg, c, oi) > 0]
-                if oi:
-                    # a dangling witness may reuse an entity the child forbids
-                    assert set(supported) <= set(pruned) <= set(unpruned)
-                else:
-                    assert pruned == supported
+            counted = _viable_refinements(kg, rule, config)
+            assert counted is not None
+            kids = _children(rule, counted)
+            floor = config.min_head_coverage * kg.fact_count(rule.head.relation)
+            closing, dangling = refine_closing(kg, rule, config), refine_dangling(kg, rule, config)
+            assert set(kids) <= set(closing) | set(dangling)
+            want = {c: n for c in closing if (n := brute_support(kg, c, oi)) >= floor}
+            assert {c: kids[c] for c in closing if c in kids} == want
+            n_carried += len(want)
+            pruned = [c for c in dangling if c in kids]
+            assert all(kids[c] is None for c in pruned)
+            supported = [c for c in dangling if brute_support(kg, c, oi) > 0]
+            if oi:
+                # a dangling witness may reuse an entity the child forbids
+                assert set(supported) <= set(pruned)
+            else:
+                assert pruned == supported
         return n_carried
 
     @pytest.mark.parametrize("object_identity", [False, True])
@@ -306,19 +302,40 @@ class TestWitnessSweep:
 
     @pytest.mark.parametrize("object_identity", [False, True])
     def test_overrun_prunes_nothing(self, sample_kg, monkeypatch, object_identity):
-        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", 1)
+        monkeypatch.setattr("hornforge.metrics.ROW_LIMIT", 1)
         config = MinerConfig(object_identity=object_identity)
         two_atom = canon("birthCountry(?a, ?c) => speaks(?a, ?b)", sample_kg)
         for rule in seed_rules(sample_kg) + [two_atom]:
             if hf.support(sample_kg, rule, object_identity) > 1:
-                assert _viable_refinements(sample_kg, rule, config) == (None, None)
+                assert _viable_refinements(sample_kg, rule, config) is None
 
+    @staticmethod
+    def spy_mine(monkeypatch, kg, config):
+        """Runs mine; returns its rules, {parent: its sweep's result}, and
+        the (parent, children) pair _children built for each parent."""
+        true_sweep, true_children = _viable_refinements, _children
+        seen, built = {}, []
+
+        def spy_sweep(kg_, rule, config_):
+            seen[rule] = true_sweep(kg_, rule, config_)
+            return seen[rule]
+
+        def spy_children(rule, counted):
+            kids = true_children(rule, counted)
+            built.append((rule, kids))
+            return kids
+
+        with monkeypatch.context() as m:
+            m.setattr(hf.amie, "_viable_refinements", spy_sweep)
+            m.setattr(hf.amie, "_children", spy_children)
+            mined = mine(kg, config)
+        return mined, seen, built
 
     @pytest.mark.parametrize("limit", [0, 4])
     def test_overrun_never_carries_a_count(self, monkeypatch, limit):
-        # a parent overruns when its sweep returns (None, None): projections
-        # (object identity) stops once the solutions pass the limit, the
-        # column join once the rows of a partial join do
+        # a parent overruns when its sweep returns None: projections (object
+        # identity) stops once the solutions pass the limit, the column join
+        # once the rows of a partial join do
         loose = dict(min_head_coverage=TINY, min_confidence=TINY, enable_skyline=False)
         configs = [
             MinerConfig(**loose),
@@ -328,43 +345,34 @@ class TestWitnessSweep:
         rng = random.Random(24)
         runs = [(random_kg(rng), config) for config in configs for _ in range(12)]
         expected = [mine(kg, config) for kg, config in runs]
-        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", limit)
-        true_support, true_sweep = hf.amie.support, _viable_refinements
+        monkeypatch.setattr("hornforge.metrics.ROW_LIMIT", limit)
+        true_support = hf.amie.support
         n_over = n_fine = n_partial = 0
         for (kg, config), want in zip(runs, expected):
             oi = config.object_identity
-            supported, swept, overran = set(), [], {}
+            supported = set()
 
             def spy_support(kg_, rule, object_identity=False):
                 supported.add(rule)
                 return true_support(kg_, rule, object_identity)
 
-            def spy_sweep(kg_, rule, config_):
-                result = true_sweep(kg_, rule, config_)
-                overran[rule] = result == (None, None)
-                return result
-
-            def spy_closing(kg_, rule, config_, closing=None):
-                kids = _closing_children(kg_, rule, config_, closing)
-                swept.append((rule, kids))
-                return kids
-
             monkeypatch.setattr(hf.amie, "support", spy_support)
-            monkeypatch.setattr(hf.amie, "_viable_refinements", spy_sweep)
-            monkeypatch.setattr(hf.amie, "_closing_children", spy_closing)
-            assert mine(kg, config) == want
+            mined, seen, built = self.spy_mine(monkeypatch, kg, config)
+            assert mined == want
             over, counted = [], set()
-            for p, kids in swept:
+            for p, kids in built:
                 solutions = len(hf.enumerate_solutions(kg, p.atoms, oi))
-                if not overran[p]:
+                if seen[p] is not None:
                     assert solutions <= limit
-                    for child, count in kids.items():
+                    carried = {child: n for child, n in kids.items() if n is not None}
+                    for child, count in carried.items():
                         assert count == true_support(kg, child, oi), hf.render_rule(child, kg)
                         assert child not in supported, hf.render_rule(child, kg)
-                    counted.update(kids)
+                    counted.update(carried)
                     n_fine += 1
                     continue
                 over.append(p)
+                assert all(n is None for n in kids.values())
                 if len(p) <= 2 or oi:
                     assert solutions > limit
                 elif solutions <= limit:
@@ -387,44 +395,57 @@ class TestWitnessSweep:
         config = MinerConfig(min_head_coverage=Fraction(1, 4), min_confidence=TINY)
         rng = random.Random(25)
         graphs = [random_kg(rng) for _ in range(20)]
-        sweep = _viable_refinements
-        seen, built = {}, []
-
-        def spy_sweep(kg_, rule, config_):
-            seen[rule] = sweep(kg_, rule, config_)
-            return seen[rule]
-
-        def spy_closing(kg_, rule, config_, closing=None):
-            kids = _closing_children(kg_, rule, config_, closing)
-            built.append((rule, closing, kids))
-            return kids
-
-        monkeypatch.setattr(hf.amie, "_viable_refinements", spy_sweep)
-        monkeypatch.setattr(hf.amie, "_closing_children", spy_closing)
         dropped = 0
         for kg in graphs:
-            seen.clear()
-            built.clear()
-            mine(kg, config)
-            for rule, closing, _ in built:
+            _, seen, built = self.spy_mine(monkeypatch, kg, config)
+            for rule, kids in built:
+                assert seen[rule] is not None
                 floor = config.min_head_coverage * kg.fact_count(rule.head.relation)
-                assert all(n >= floor for n in closing.values()), hf.render_rule(rule, kg)
-                found = seen[rule][0]
-                assert closing == {k: n for k, n in found.items() if n >= floor}
-                dropped += len(found) - len(closing)
+                supports = {c: brute_support(kg, c) for c in refine_closing(kg, rule, config)}
+                want = {c: n for c, n in supports.items() if n >= floor}
+                assert {c: kids[c] for c in supports if c in kids} == want, hf.render_rule(rule, kg)
+                dropped += sum(0 < n < floor for n in supports.values())
         assert dropped > 0
         # an overrun parent still builds every closing child, with no support
-        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", 0)
+        monkeypatch.setattr("hornforge.metrics.ROW_LIMIT", 0)
         n_kids = 0
         for kg in graphs:
-            built.clear()
-            mine(kg, config)
-            for rule, closing, kids in built:
-                if closing is None:
-                    assert all(n is None for n in kids.values())
-                    assert kids == _closing_children(kg, rule, config)
-                    n_kids += len(kids)
+            _, seen, built = self.spy_mine(monkeypatch, kg, config)
+            for rule, kids in built:
+                assert seen[rule] is None
+                closing = refine_closing(kg, rule, config)
+                assert all(kids[c] is None for c in closing)
+                n_kids += len(closing)
         assert n_kids > 0
+
+    @pytest.mark.parametrize("object_identity", [False, True])
+    def test_overrun_builds_every_child(self, monkeypatch, object_identity):
+        # with no witness to prune by, a parent builds every child of the
+        # three operators, and carries no count
+        config = MinerConfig(
+            max_len=4,
+            min_head_coverage=TINY,
+            min_confidence=TINY,
+            enable_instantiation=True,
+            object_identity=object_identity,
+        )
+        rng = random.Random(26)
+        monkeypatch.setattr("hornforge.metrics.ROW_LIMIT", 0)
+        n_parents = with_constant = 0
+        for _ in range(6):
+            kg = random_kg(rng, max_entities=5, max_relations=3, max_facts=12)
+            _, seen, built = self.spy_mine(monkeypatch, kg, config)
+            for rule, kids in built:
+                assert seen[rule] is None
+                want = set(refine_closing(kg, rule, config))
+                want |= set(refine_dangling(kg, rule, config))
+                instantiated = refine_instantiated(kg, rule, config)
+                want |= set(instantiated)
+                assert set(kids) == want, hf.render_rule(rule, kg)
+                assert all(n is None for n in kids.values())
+                n_parents += 1
+                with_constant += bool(instantiated)
+        assert n_parents > 0 and with_constant > 0
 
 
 def random_rule(rng, kg, max_body):

@@ -110,7 +110,7 @@ class TestMine:
 
     def test_witness_overrun_keeps_output(self, monkeypatch):
         # an overrun switches pruning off; only zero-support children are added
-        monkeypatch.setattr("hornforge.amie._WITNESS_LIMIT", 1)
+        monkeypatch.setattr("hornforge.metrics.ROW_LIMIT", 1)
         code, out, _ = cap(["mine", "--input", str(FIXTURE)])
         assert (code, out) == (0, MINE_GOLDEN)
 

@@ -419,6 +419,11 @@ class TestRelationId:
         for bad in (-1, len(sample_kg.relations)):
             with pytest.raises(ValueError, match="unknown relation"):
                 self.ENTRY_POINTS[entry](sample_kg, bad)
+        # a relation interned after the graph was built, by id and by label
+        kg = KnowledgeGraph.from_label_triples(sample_kg.iter_label_triples())
+        for bad in (kg.relations.intern("late"), "late"):
+            with pytest.raises(ValueError, match="unknown relation"):
+                self.ENTRY_POINTS[entry](kg, bad)
 
     RULE_ENTRY_POINTS = {
         "support": support,
@@ -436,12 +441,15 @@ class TestRelationId:
     }
 
     @pytest.mark.parametrize("position", ["head", "body"])
-    @pytest.mark.parametrize("bad", [-1, 2], ids=["-1", "len(relations)"])
+    @pytest.mark.parametrize("bad", [-1, 2, "late"], ids=["-1", "len(relations)", "interned later"])
     @pytest.mark.parametrize("entry", sorted(RULE_ENTRY_POINTS))
     def test_out_of_range_atom_relation_rejected(self, entry, bad, position):
         # without the check the column and the generic join read different
-        # relations for -1, and len(relations) fails inside numpy
+        # relations for -1, and len(relations) fails inside numpy; a relation
+        # interned after the graph was built has no index either
         kg = KnowledgeGraph.from_label_triples([("a", "p", "b"), ("b", "q", "c"), ("b", "p", "c")])
+        if bad == "late":
+            bad = kg.relations.intern("late")
         p = kg.relation_id("p")
         a, b, c = var(0), var(1), var(2)
         if position == "head":
@@ -465,13 +473,20 @@ class TestRelationId:
         "has_endpoints": lambda kg, r: kg.has_endpoints(r, np.arange(3), "object"),
     }
 
-    @pytest.mark.parametrize("bad", [-1, 2], ids=["-1", "len(relations)"])
+    @pytest.mark.parametrize(
+        "bad", [-1, 2, "late id", "late"], ids=["-1", "len(relations)", "interned later", "its label"]
+    )
     @pytest.mark.parametrize("accessor", sorted(ACCESSORS))
     def test_accessor_rejects_out_of_range_id(self, accessor, bad):
-        # unchecked, -1 reads q's facts and len(relations) raises IndexError
+        # unchecked, -1 reads q's facts and len(relations) raises IndexError;
+        # for a relation interned after the graph was built, has_endpoints
+        # returned an all-False mask
         kg = KnowledgeGraph.from_label_triples([("a", "p", "b"), ("b", "q", "c"), ("b", "p", "c")])
         assert len(kg.relations) == 2
         self.ACCESSORS[accessor](kg, kg.relation_id("q"))
+        if bad in ("late id", "late"):
+            late = kg.relations.intern("late")
+            bad = late if bad == "late id" else bad
         with pytest.raises(ValueError, match="unknown relation"):
             self.ACCESSORS[accessor](kg, bad)
 

@@ -314,6 +314,46 @@ class TestThreeAtomChains:
         assert checked >= 1000 and supported > 0
 
 
+class TestRowLimit:
+    """Past metrics.ROW_LIMIT rows the column join stops, and support and
+    both denominators take the generic join, with the same values."""
+
+    TEXTS = [
+        "p(?a, ?c) & q(?c, ?d) & p(?d, ?b) => h(?a, ?b)",
+        "p(?c, ?a) & q(?d, ?c) & q(?b, ?d) => h(?a, ?b)",
+        "p(?a, ?c) & q(?c, ?d) & p(?d, ?e) & q(?e, ?b) => h(?a, ?b)",
+        "p(?a, ?c) & p(?c, ?d) & q(?d, ?b) & q(?a, ?b) => h(?a, ?b)",
+    ]
+
+    @pytest.mark.parametrize("limit", [0, 60])
+    def test_measures_past_the_limit(self, monkeypatch, limit):
+        true_join = KnowledgeGraph.index_join
+        stopped, kept = [], []
+
+        def spy_join(kg, atoms, cutoff=None):
+            assert cutoff == limit
+            variables, columns = true_join(kg, atoms, cutoff)
+            if columns is None:
+                stopped.append(len(atoms))
+            else:
+                assert columns[0].size <= limit
+                kept.append(len(atoms))
+            return variables, columns
+
+        monkeypatch.setattr(metrics, "ROW_LIMIT", limit)
+        monkeypatch.setattr(KnowledgeGraph, "index_join", spy_join)
+        for kg in TestSupportFastPath.GRAPHS:
+            for text in self.TEXTS:
+                rule = parse_rule(text, kg)
+                bm = brute_metrics(kg, rule)
+                assert support(kg, rule) == bm.support, text
+                assert cwa_body_size(kg, rule) == bm.cwa_body_size, text
+                assert pca_body_size(kg, rule, "subject") == bm.pca_subject_size, text
+                assert pca_body_size(kg, rule, "object") == bm.pca_object_size, text
+        assert set(stopped) == {3, 4}
+        assert bool(kept) == (limit > 0)
+
+
 class TestHeadCoverage:
     def test_running_example(self, sample_kg, rule_r):
         assert head_coverage(sample_kg, rule_r) == Fraction(2, 3)

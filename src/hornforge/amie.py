@@ -246,7 +246,7 @@ def _viable_refinements(kg, rule: Rule, config: MinerConfig):
         return None  # witness overrun
     at = {v: i for i, v in enumerate(cols)}
     hvars = rule.head_variables()
-    heads = columns[at[hvars[0]]] * len(kg.entities) + columns[at[hvars[-1]]]
+    heads = columns[at[hvars[0]]] * kg.entity_count + columns[at[hvars[-1]]]
     counted = {}
     if pairs:
         floor = config.min_head_coverage * kg.fact_count(rule.head.relation)

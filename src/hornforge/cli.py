@@ -273,7 +273,7 @@ def _cmd_predict(kg, args) -> int:
 
 def _cmd_stats(kg, args) -> int:
     lines = [
-        f"# entities={len(kg.entities)} relations={len(kg.relations)} facts={len(kg.facts)}",
+        f"# entities={kg.entity_count} relations={len(kg.relations)} facts={len(kg.facts)}",
         "relation\tfacts\tdistinct_subjects\tdistinct_objects\tfunctionality\tinverse_functionality",
     ]
     for label in sorted(kg.relations.labels()):

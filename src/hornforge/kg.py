@@ -5,13 +5,14 @@ sorted once at construction, and every index is built from that sorted
 list, so iteration order is deterministic for a given label input set.
 Only this module reads the index layout.
 
-`__init__` builds the dict and list indexes: per relation a fact count
-and subject -> objects and object -> subjects lists, per entity its out-
-and in-edge lists; `pairs` and `has_pair` read those and `facts`.  The
-public accessors reject an unknown relation id; the generic join's
-per-node reads (`_estimate`, `_ext_candidates`) take atoms `_compile`
-has already checked and read the dicts directly.  The
-column join `index_join`, the two vectorized lookups of the top-down
+`__init__` builds the dict and list indexes: per relation a fact count and
+subject -> objects and object -> subjects lists, per entity its out- and
+in-edge lists; `pairs` and `has_pair` read those and `facts`.  Ids are the
+interners' at construction: `__init__` rejects a fact with any other id,
+`entity_id` a later entity, and the public accessors an unknown relation
+id; the generic join's per-node reads (`_estimate`, `_ext_candidates`)
+take atoms `_compile` has already checked and read the dicts directly.
+The column join `index_join`, the two vectorized lookups of the top-down
 miner's witness sweep (`linked_head_counts`, `incident_relations`),
 support's head-fact count `count_facts_among` and the PCA filter's
 `has_endpoints` read compact int64 arrays instead (`_FactArrays`): each
@@ -177,12 +178,15 @@ class KnowledgeGraph:
         self.relations = relations
         self.facts = frozenset(facts)
         self._fact_list = tuple(sorted(self.facts))
+        n_ent = self._entity_count = len(entities)
         n_rel = len(relations)
         self._sub_to_obj = [dict() for _ in range(n_rel)]
         self._obj_to_sub = [dict() for _ in range(n_rel)]
         self._out_edges = {}
         self._in_edges = {}
         for s, r, o in self._fact_list:
+            if not (0 <= s < n_ent and 0 <= r < n_rel and 0 <= o < n_ent):
+                raise ValueError(f"fact outside the graph's interners: {(s, r, o)!r}")
             self._sub_to_obj[r].setdefault(s, []).append(o)
             self._obj_to_sub[r].setdefault(o, []).append(s)
             self._out_edges.setdefault(s, []).append((r, o))
@@ -198,6 +202,11 @@ class KnowledgeGraph:
         for s, r, o in triples:
             facts.add((entities.intern(s), relations.intern(r), entities.intern(o)))
         return cls(entities, relations, facts)
+
+    @property
+    def entity_count(self) -> int:
+        """The number of entities the graph was built with."""
+        return self._entity_count
 
     # --- fact access -------------------------------------------------
 
@@ -257,9 +266,9 @@ class KnowledgeGraph:
 
     def entity_id(self, entity) -> int:
         """Id of an entity given by label or by id; ValueError when the
-        label is unknown or the id lies outside [0, len(entities))."""
+        label is unknown or the id is not one the graph was built with."""
         eid = self.entities.get(entity) if isinstance(entity, str) else entity
-        if eid is None or not 0 <= eid < len(self.entities):
+        if eid is None or not 0 <= eid < self._entity_count:
             raise ValueError(f"unknown entity: {entity!r}")
         return eid
 
@@ -281,8 +290,6 @@ class KnowledgeGraph:
         whose constants never occur yields nothing.
         """
         base = {} if bindings is None else bindings
-        if not 0 <= atom.relation < len(self._counts):
-            return
         for ext in _ext_candidates(self, _compile(self, atom), base):
             merged = dict(base)
             merged.update(ext)
@@ -290,7 +297,7 @@ class KnowledgeGraph:
 
     def _fact_arrays(self) -> _FactArrays:
         if self._arrays is None:
-            self._arrays = _FactArrays(self._fact_list, len(self._counts), len(self.entities))
+            self._arrays = _FactArrays(self._fact_list, len(self._counts), self._entity_count)
         return self._arrays
 
     def index_join(self, atoms, cutoff=None):

@@ -1,9 +1,9 @@
 """Adjacency-matrix route to rule evaluation.
 
-Chain rules are scored by multiplying boolean relation matrices, with
-transposes for inverted atoms.  This is an independent second
-implementation of support / coverage / CWA confidence used to
-cross-check the symbolic engine in metrics.py; keep the two decoupled.
+Chain rules are scored by multiplying boolean relation matrices, each
+`kg.entity_count` square, with transposes for inverted atoms.  This is an
+independent second implementation of support / coverage / CWA confidence
+used to cross-check metrics.py's symbolic engine; keep the two decoupled.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def adjacency_matrix(kg, relation) -> SparseBoolMatrix:
         per_kg = _adjacency_cache[kg] = {}
     m = per_kg.get(relation)
     if m is None:
-        m = per_kg[relation] = SparseBoolMatrix.from_pairs(len(kg.entities), kg.pairs(relation))
+        m = per_kg[relation] = SparseBoolMatrix.from_pairs(kg.entity_count, kg.pairs(relation))
     return m
 
 
@@ -167,7 +167,7 @@ def _chain_product(kg, rule: Rule) -> SparseBoolMatrix:
         if inv:
             m = m.transpose()
         out = m if out is None else out @ m
-    return SparseBoolMatrix.identity(len(kg.entities)) if out is None else out
+    return SparseBoolMatrix.identity(kg.entity_count) if out is None else out
 
 
 def matrix_support(kg, rule: Rule) -> int:
@@ -211,14 +211,13 @@ class EntityVector:
 def tensorlog_infer(kg, rule: Rule, x) -> EntityVector:
     """Entities reachable from x through the rule body: one-hot vector
     pushed through the chain of adjacency matrices."""
-    n = len(kg.entities)
     frontier = np.array([kg.entity_id(x)], np.int64)
     for r, inv in chain_orientations(rule):
         m = adjacency_matrix(kg, r)
         if inv:
             m = m.transpose()
         frontier = _kernels.frontier_reach(m.indptr, m.cols, frontier)
-    return EntityVector(n, frozenset(int(i) for i in frontier))
+    return EntityVector(kg.entity_count, frozenset(int(i) for i in frontier))
 
 
 def aggregate_infer(kg, scored_rules, x):

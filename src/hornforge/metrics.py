@@ -12,11 +12,11 @@ the graph's one column join, `KnowledgeGraph.index_join`, takes any
 connected body of all-variable atoms instead: support counts the head
 facts whose head-variable values occur in its columns
 (`KnowledgeGraph.count_facts_among`), and both denominators count the
-distinct head keys of its columns, the PCA filter a mask on one of them.
-The generic searches keep constants, repeated variables, object identity
-and bodies connected only through the head.  The matrix oracle in
-matrix.py recomputes the same quantities for chain rules by a separate
-route and must always agree.
+distinct head keys of its columns; `_body_size` decides the PCA filter
+once for both routes, and `check_fires` is every structural check.  The
+generic searches keep constants, repeated variables, object identity and
+bodies connected only through the head.  The matrix oracle in matrix.py
+recomputes these quantities for chain rules separately and must agree.
 """
 
 from __future__ import annotations
@@ -172,6 +172,15 @@ def _bind_head_fact(head, s, o):
 # --- core measures --------------------------------------------------------
 
 
+def check_fires(rule, safe=True):
+    """Raise ValueError unless the rule is connected and, when safe is
+    true, safe: every head variable occurs in the body."""
+    if not is_connected(rule):
+        raise ValueError("disconnected rule")
+    if safe and not is_safe(rule):
+        raise ValueError("unsafe rule: every head variable must occur in the body")
+
+
 # the most rows a column join builds, for a measure or for the top-down
 # miner's witness sweep; past it the measure takes the generic join
 ROW_LIMIT = 200_000
@@ -197,8 +206,7 @@ def support(kg: KnowledgeGraph, rule: Rule, object_identity: bool = False) -> in
         column = _body_columns(kg, rule, object_identity) if rule.body else {}
         if column is not None and (not rule.body or s in column or o in column):
             return kg.count_facts_among(r, column.get(s), column.get(o))
-    if not is_connected(rule):
-        raise ValueError("disconnected rule")
+    check_fires(rule, safe=False)
     catoms = tuple(_compile(kg, a) for a in rule.body)
     count = 0
     # head bindings straight off the index: constants and a repeated head
@@ -226,9 +234,10 @@ def _body_size(kg, rule, direction, object_identity, cutoff):
     """Distinct head-variable tuples whose body is satisfiable, restricted
     by the PCA filter in `direction` unless it is None.  A body that
     kg.index_join covers and that binds every head variable is counted off
-    the join's columns, the PCA filter a mask on its head-variable column;
-    None when cutoff is given and exceeded."""
-    kg.relation_id(rule.head.relation)
+    the join's columns; None when cutoff is given and exceeded.  A constant
+    head term in the PCA direction gives 0 unless a head fact shares it; a
+    variable one names the head variable both routes filter on."""
+    r = kg.relation_id(rule.head.relation)
     hvars = rule.head_variables()
     column = _body_columns(kg, rule, object_identity) if hvars else None
     # columns that hold every head variable: the rule is non-empty, safe and connected
@@ -236,23 +245,26 @@ def _body_size(kg, rule, direction, object_identity, cutoff):
         column = None
         if not rule.body:
             raise ValueError("confidence undefined for empty body")
-        if not is_connected(rule):
-            raise ValueError("disconnected rule")
-        if not is_safe(rule):
-            raise ValueError("unsafe rule: every head variable must occur in the body")
-    chosen = None if direction is None else pca_direction(kg, rule, direction)
+        check_fires(rule)
+    i = None  # the position in hvars of the head variable the PCA filter reads
+    if direction is not None:
+        chosen = pca_direction(kg, rule, direction)
+        t = rule.head.subject if chosen == "subject" else rule.head.object
+        known = kg.has_subject if chosen == "subject" else kg.has_object
+        if t.is_var:
+            i = hvars.index(t.index)
+        elif not known(r, t.index):
+            for atom in rule.body:  # an unknown body relation still raises
+                kg.relation_id(atom.relation)
+            return 0
     if column is None:
-        keep = None if chosen is None else _pca_filter(kg, rule.head, chosen, hvars)
+        keep = None if i is None else lambda proj: known(r, proj[i])
         sols = projections(kg, rule.body, hvars, None, object_identity, cutoff, keep)
         return None if sols is None else len(sols)
     # a lone head variable is read twice: its (v, v) tuples count as (v,)
-    keys = column[hvars[0]] * len(kg.entities) + column[hvars[-1]]
-    if chosen is not None:
-        r, t = rule.head.relation, (rule.head.subject if chosen == "subject" else rule.head.object)
-        if t.is_var:
-            keys = keys[kg.has_endpoints(r, column[t.index], chosen)]
-        elif not (kg.has_subject if chosen == "subject" else kg.has_object)(r, t.index):
-            return 0
+    keys = column[hvars[0]] * kg.entity_count + column[hvars[-1]]
+    if i is not None:
+        keys = keys[kg.has_endpoints(r, column[hvars[i]], chosen)]
     size = sorted_unique(keys).size
     return None if cutoff is not None and size > cutoff else size
 
@@ -275,17 +287,6 @@ def pca_direction(kg, rule, direction: str = "auto") -> str:
     # functionality against inverse functionality over the same fact count;
     # ties favour the subject side
     return "subject" if stats.distinct_subjects >= stats.distinct_objects else "object"
-
-
-def _pca_filter(kg, head, chosen: str, hvars):
-    """Predicate on a head-variable tuple (in `hvars` order): true when some
-    head fact shares its `chosen` argument."""
-    r, t = head.relation, (head.subject if chosen == "subject" else head.object)
-    known = kg.has_subject if chosen == "subject" else kg.has_object
-    if t.is_var:
-        i = hvars.index(t.index)
-        return lambda proj: known(r, proj[i])
-    return lambda proj: known(r, t.index)
 
 
 def pca_body_size(kg, rule, direction="auto", object_identity=False, cutoff=None):

@@ -1,8 +1,8 @@
 """Rule execution: fact prediction, negative examples, greedy selection,
 inconsistency detection.
 
-Rules fire under the same substitution semantics as metrics.py, through
-its public join `projections`; a prediction is a head fact whose body is
+Rules fire under metrics.py's substitution semantics and structural check
+(`projections`, `check_fires`); a prediction is a head fact whose body is
 satisfiable, whether or not the fact is already known.
 """
 
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kg import KnowledgeGraph
-from .metrics import as_fraction, covered, pca_confidence, projections
-from .rules import Rule, is_connected, is_safe, sort_key
+from .metrics import as_fraction, check_fires, covered, pca_confidence, projections
+from .rules import Rule, sort_key
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,6 @@ def _head_pair(head, hv, proj):
     s = binding[head.subject.index] if head.subject.is_var else head.subject.index
     o = binding[head.object.index] if head.object.is_var else head.object.index
     return s, o
-
-
-def check_fires(rule):
-    """Raise ValueError unless the rule is connected and safe."""
-    if not is_connected(rule):
-        raise ValueError("disconnected rule")
-    if not is_safe(rule):
-        raise ValueError("unsafe rule: every head variable must occur in the body")
 
 
 def apply_rule(kg: KnowledgeGraph, rule: Rule, confidence=None, object_identity=False):
@@ -171,8 +163,7 @@ def find_inconsistencies(kg: KnowledgeGraph, negative_rules) -> list:
     out = set()
     for nrule in negative_rules:
         rule = nrule.rule if isinstance(nrule, NegativeRule) else nrule
-        if not is_connected(rule):
-            raise ValueError("disconnected rule")
+        check_fires(rule, safe=False)
         hv = rule.head_variables()
         for proj in projections(kg, rule.atoms, hv):
             s, o = _head_pair(rule.head, hv, proj)

@@ -3,6 +3,7 @@ import io
 import itertools
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,11 +27,14 @@ from hornforge import (
     head_coverage,
     is_connected,
     load_triples,
+    matrix_support,
     pca_body_size,
     projections,
     support,
+    tensorlog_infer,
     var,
 )
+from conftest import FIXTURE
 from oracles import all_chain_rules, brute_support, random_kg
 
 _KG_MEMORY = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "kg_memory.py"
@@ -115,7 +119,8 @@ class TestIndexes:
         germany = sample_kg.entities.id("Germany")
         assert list(sample_kg.match_atom(Atom(speaks, var(0), var(1)), {0: germany})) == []
         for unknown in (-1, len(sample_kg.relations)):
-            assert list(sample_kg.match_atom(Atom(unknown, var(0), var(1)))) == []
+            with pytest.raises(ValueError, match="unknown relation"):
+                list(sample_kg.match_atom(Atom(unknown, var(0), var(1))))
 
     def test_has_pair_and_fact_count(self, sample_kg):
         speaks = sample_kg.relations.id("speaks")
@@ -459,6 +464,17 @@ class TestRelationId:
         with pytest.raises(ValueError, match="unknown relation"):
             self.RULE_ENTRY_POINTS[entry](kg, rule)
 
+    @pytest.mark.parametrize("object_identity", [False, True])
+    def test_unshared_head_constant_still_checks_the_body(self, object_identity):
+        # the PCA denominator is 0 for a head constant no head fact shares,
+        # but a body relation the graph lacks still raises; the body's
+        # constant atom keeps index_join from checking it first
+        kg = KnowledgeGraph.from_label_triples([("a", "p", "b"), ("b", "q", "c"), ("b", "p", "c")])
+        p, c = kg.relation_id("p"), kg.entity_id("c")
+        rule = Rule(Atom(p, const(c), var(1)), (Atom(p, var(0), var(1)), Atom(2, var(0), const(c))))
+        with pytest.raises(ValueError, match="unknown relation"):
+            pca_body_size(kg, rule, "subject", object_identity)
+
     ACCESSORS = {
         "fact_count": lambda kg, r: kg.fact_count(r),
         "pairs": lambda kg, r: kg.pairs(r),
@@ -489,6 +505,39 @@ class TestRelationId:
             bad = late if bad == "late id" else bad
         with pytest.raises(ValueError, match="unknown relation"):
             self.ACCESSORS[accessor](kg, bad)
+
+
+class TestEntityIds:
+    @pytest.mark.parametrize(
+        "fact", [(0, -1, 1), (0, 2, 1), (-1, 0, 0), (0, 0, 2), (2, 1, 1)],
+        ids=["relation -1", "relation past", "subject -1", "object past", "subject past"],
+    )
+    def test_fact_outside_the_interners_rejected(self, fact):
+        # unchecked, relation -1 was filed under the last relation, and an
+        # entity id past the interner packed into another pair's column key
+        entities, relations = Interner(), Interner()
+        for label in ("e0", "e1"):
+            entities.intern(label)
+        for label in ("p", "h"):
+            relations.intern(label)
+        with pytest.raises(ValueError, match=re.escape(repr(fact))):
+            KnowledgeGraph(entities, relations, {(0, 0, 1), fact})
+
+    def test_entity_interned_later_is_not_the_graphs(self, sample_kg, rule_r):
+        # unchecked, tensorlog_infer raised IndexError, complete returned []
+        # and matrix_support mixed 11- and 12-entity matrices
+        kg = load_triples(FIXTURE)
+        adjacency_matrix(kg, rule_r.body[0].relation)  # cached before the intern
+        late = kg.entities.intern("Newcomer")
+        for bad in ("Newcomer", late):
+            with pytest.raises(ValueError, match="unknown entity"):
+                kg.entity_id(bad)
+            with pytest.raises(ValueError, match="unknown entity"):
+                complete(kg, [(rule_r, 1)], "speaks", subject=bad)
+            with pytest.raises(ValueError, match="unknown entity"):
+                tensorlog_infer(kg, rule_r, bad)
+        assert matrix_support(kg, rule_r) == matrix_support(sample_kg, rule_r) == 2
+        assert kg.entity_count == adjacency_matrix(kg, "speaks").n == late
 
 
 class TestRelationStats:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -18,6 +19,7 @@ from hornforge import (
     evaluate,
     head_coverage,
     is_connected,
+    is_safe,
     lazy_denominator,
     load_triples,
     marginal_weight,
@@ -130,8 +132,11 @@ class TestSupport:
 
     @pytest.mark.parametrize("object_identity", [False, True])
     def test_constant_in_head_matches_brute_force(self, object_identity):
+        """Support, and for a safe rule both denominators with and without
+        a cutoff: the PCA filter's constant side returns 0 when no head
+        fact shares the constant, and its variable side filters."""
         rng = random.Random(47)
-        checked = no_head_fact = 0
+        checked = no_head_fact = safe = 0
         for _ in range(60):
             kg = random_kg(rng)
             for rule in random_constant_head_rules(kg, rng, 8):
@@ -143,7 +148,18 @@ class TestSupport:
                 else:
                     no_head_fact += not kg.has_subject(h.relation, h.subject.index)
                 checked += 1
-        assert checked >= 300 and no_head_fact >= 50
+                if not is_safe(rule):
+                    continue
+                safe += 1
+                for measure, size in (
+                    (partial(cwa_body_size, kg, rule, object_identity), bm.cwa_body_size),
+                    (partial(pca_body_size, kg, rule, "subject", object_identity), bm.pca_subject_size),
+                    (partial(pca_body_size, kg, rule, "object", object_identity), bm.pca_object_size),
+                ):
+                    assert measure() == measure(cutoff=size) == size
+                    if size:
+                        assert measure(cutoff=size - 1) is None
+        assert checked >= 300 and no_head_fact >= 50 and safe >= 300
 
     def test_object_identity_rejects_merged_variables(self):
         kg = load_triples("a\tr\ta\na\tr\tb\n")

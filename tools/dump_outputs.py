@@ -148,6 +148,40 @@ def dump_measures():
             yield f"measures identity={identity}\t{text}\t{counts}"
 
 
+def uncovered_rules(kg):
+    """Rules that split the PCA filter's cases: a constant head term that
+    head facts do and do not share, on each side, over one body atom; and
+    two bodies no column join covers, a chain with a constant atom and two
+    atoms linked only through the head."""
+    rels = range(len(kg.relations))
+    for h in rels:
+        subjects, objects = set(kg.subjects(h)), set(kg.objects(h))
+        known = (min(subjects), min(objects))
+        unknown = tuple(min(set(range(len(kg.entities))) - side) for side in (subjects, objects))
+        for p in rels:
+            for c in known + unknown:
+                yield hf.Rule(hf.Atom(h, hf.var(0), hf.const(c)), (hf.Atom(p, hf.var(0), hf.var(1)),))
+                yield hf.Rule(hf.Atom(h, hf.const(c), hf.var(1)), (hf.Atom(p, hf.var(0), hf.var(1)),))
+            head = hf.Atom(h, hf.var(0), hf.var(1))
+            for q in rels:
+                yield hf.Rule(head, (hf.Atom(p, hf.var(0), hf.var(1)), hf.Atom(q, hf.var(1), hf.const(known[1]))))
+            yield hf.Rule(head, (hf.Atom(p, hf.var(0), hf.var(2)), hf.Atom(p, hf.var(3), hf.var(1))))
+
+
+def dump_uncovered():
+    kg = uniform_graph(14, entities=60, relations=5, facts=400)
+    for rule in uncovered_rules(kg):
+        text = hf.render_rule(rule, kg)
+        for identity in (False, True):
+            counts = (
+                hf.support(kg, rule, identity),
+                hf.cwa_body_size(kg, rule, identity),
+                hf.pca_body_size(kg, rule, "subject", identity),
+                hf.pca_body_size(kg, rule, "object", identity),
+            )
+            yield f"uncovered identity={identity}\t{text}\t{counts}"
+
+
 def dump_complete():
     kg = uniform_graph(12, entities=60, relations=5, facts=400)
     scored = []
@@ -185,6 +219,7 @@ SECTIONS = (
     ("operators", dump_operators),
     ("anytime", dump_anytime),
     ("measures", dump_measures),
+    ("uncovered", dump_uncovered),
     ("complete", dump_complete),
     ("matrix", dump_matrix),
 )
